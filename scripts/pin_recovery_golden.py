@@ -9,7 +9,8 @@ tests/test_acceptance.py as RECOVERY_GOLDEN_OVERLAP.
 
 import dataclasses
 
-from sphere_dmrg.mps import mps_to_dense, random_mps, shift_center
+from sphere_dmrg.engine import sweep_schedule
+from sphere_dmrg.mps import gauge_to, mps_to_dense, random_mps
 from sphere_dmrg.oracle import project_onto_subspace_dense, subspace_basis_dense
 
 TARGET_SEED = 7
@@ -33,13 +34,8 @@ def main():
     prev_last = None
     for k in range(100):
         last = None
-        for site in range(N):
-            state, last = oracle_update(state, target)
-            if site < N - 1:
-                state = shift_center(state, "right")
-        for site in range(N - 2, -1, -1):
-            state = shift_center(state, "left")
-            state, last = oracle_update(state, target)
+        for site, _ in sweep_schedule(N):
+            state, last = oracle_update(gauge_to(state, site), target)
         print(f"sweep {k}: overlap {last!r}")
         if prev_last is not None and abs(last - prev_last) < TOL:
             print(f"\nconverged; golden overlap = {last!r}")

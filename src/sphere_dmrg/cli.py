@@ -123,11 +123,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
 
     rows = [CSV_HEADER] + [_csv_row(r) for r in trajectory]
-    _atomic_write(os.path.join(out, "trajectory.csv"), "\n".join(rows) + "\n")
-    _atomic_write(
-        os.path.join(out, "final_mps.json"),
-        json.dumps(mps_to_json_dict(state)) + "\n",
-    )
     last = trajectory[-1]
     summary = {
         "termination": reason,
@@ -136,9 +131,17 @@ def main(argv: list[str] | None = None) -> int:
         "final_angle": last.angle,
         "wall_seconds": elapsed,
     }
-    _atomic_write(
-        os.path.join(out, "summary.json"), json.dumps(summary, indent=2) + "\n"
-    )
+    # strict JSON, encoded before any file is written: a non-finite number
+    # is a runtime failure, not an output
+    try:
+        mps_json = json.dumps(mps_to_json_dict(state), allow_nan=False)
+        summary_json = json.dumps(summary, indent=2, allow_nan=False)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    _atomic_write(os.path.join(out, "trajectory.csv"), "\n".join(rows) + "\n")
+    _atomic_write(os.path.join(out, "final_mps.json"), mps_json + "\n")
+    _atomic_write(os.path.join(out, "summary.json"), summary_json + "\n")
     return 0
 
 

@@ -7,6 +7,18 @@ closest unit vector to the target is the normalized orthogonal
 projection, and its coordinates are obtained by contracting the target
 against the frozen cores. The engine performs that update, sweeps the
 center along the chain, and records the trajectory.
+
+The contraction is split at the middle bond, m = n // 2. The environment
+of the center at site i on its left is the dense block of the cores
+0..i-1, shape (d**i, chi), while i < m, and the target folded through
+them, shape (chi, d**(n-i)), once i >= m. The right environment mirrors
+this: the dense block of the cores i+1..n-1 while i >= m, the folded
+target while i < m. Passing the middle bond is the one matmul that reads
+the whole target; every other step is one small matmul through one core.
+A sweep carries its environments along, so it reads the target three
+times (the right fold at its start, then one crossing in each direction)
+and holds O(chi * d**(ceil(n/2) + 1)) numbers besides the target, instead
+of rebuilding target-sized blocks at every update.
 """
 
 from __future__ import annotations
@@ -17,9 +29,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .mps import MPS, check_gauge, overlap_dense, random_mps, shift_center
+from .mps import (
+    MPS,
+    check_gauge,
+    check_isometry,
+    left_defect,
+    overlap_dense,
+    random_mps,
+    right_defect,
+    shift_center,
+)
 from .target import DenseState, resolve_target
-from .tensor import contract
+from .tensor import contract  # noqa: F401  (perfbench/layers.py wraps engine.contract)
 
 GAUGE_TOL = 1e-8
 
@@ -72,62 +93,89 @@ class TrainConfig:
             raise InputError(f"stall_eps must be > 0, got stall_eps={self.stall_eps}")
 
 
-def _left_block(state: MPS, i: int) -> np.ndarray:
-    """Dense embedding of the left bond basis: shape (d**i, chi_left)."""
-    block = np.ones((1, 1))
-    for core in state.sites[:i]:
-        l, d, r = core.shape
-        block = contract(block, [1], core, [0])
-        block = block.reshape(block.shape[0] * d, r)
-    return block
+def sweep_schedule(n: int) -> list[tuple[int, str]]:
+    """(site, direction) of each update in one sweep: 0..n-1 R, then n-2..0 L."""
+    return [(i, "R") for i in range(n)] + [(i, "L") for i in range(n - 2, -1, -1)]
 
 
-def _right_block(state: MPS, i: int) -> np.ndarray:
-    """Dense embedding of the right bond basis: shape (chi_right, d**(n-i-1))."""
-    block = np.ones((1, 1))
-    for core in reversed(state.sites[i + 1:]):
-        l, d, r = core.shape
-        block = contract(core, [2], block, [0])
-        block = block.reshape(l, d * block.shape[2])
-    return block
-
-
-def compute_projection_tensor(state: MPS, target: DenseState) -> ProjectionTensor:
-    """Contract the target against the frozen isometries around the center."""
+def _check_dims(state: MPS, target: DenseState) -> None:
     if target.n != state.n or target.d != state.d:
         raise InputError(
             f"dimension mismatch: state is ({state.n}, {state.d}), "
             f"target is ({target.n}, {target.d})"
         )
-    check_gauge(state, tol=GAUGE_TOL)
-    i = state.center
-    d = state.d
-    left = _left_block(state, i)       # (d**i, chi_l)
-    right = _right_block(state, i)     # (chi_r, d**(n-i-1))
-    t = target.amplitudes.reshape(left.shape[0], d, right.shape[1])
-    coeffs = contract(left, [0], t, [0])       # (chi_l, d, rest)
-    coeffs = contract(coeffs, [2], right, [1])  # (chi_l, d, chi_r)
+
+
+def _left_start(m: int, t: np.ndarray) -> np.ndarray:
+    """Left environment of site 0: the empty block, or for n = 1 the target."""
+    return np.ones((1, 1)) if m else t.reshape(1, -1)
+
+
+def _left_env(env: np.ndarray, core: np.ndarray, i: int, m: int, t: np.ndarray) -> np.ndarray:
+    """Left environment of site i + 1 from that of site i and the left isometry at i.
+
+    Reaching site m folds the target through the dense block: the one
+    matmul over the whole target.
+    """
+    l, d, r = core.shape
+    if i >= m:
+        return core.reshape(l * d, r).T @ env.reshape(l * d, -1)
+    block = (env @ core.reshape(l, d * r)).reshape(-1, r)
+    return block.T @ t.reshape(block.shape[0], -1) if i + 1 == m else block
+
+
+def _right_env(env: np.ndarray, core: np.ndarray, i: int, m: int, t: np.ndarray) -> np.ndarray:
+    """Right environment of site i - 1 from that of site i and the right isometry at i.
+
+    Reaching site m - 1 folds the target through the dense block: the one
+    matmul over the whole target.
+    """
+    l, d, r = core.shape
+    if i < m:
+        return env.reshape(-1, d * r) @ core.reshape(l, d * r).T
+    block = (core.reshape(l * d, r) @ env).reshape(l, -1)
+    return t.reshape(-1, block.shape[1]) @ block.T if i == m else block
+
+
+def _projection(left: np.ndarray, right: np.ndarray, i: int, m: int, shape) -> ProjectionTensor:
+    """Projection coefficients at site i from its two environments."""
+    l, d, r = shape
+    if i < m:
+        coeffs = (left.T @ right.reshape(left.shape[0], d * r)).reshape(l, d, r)
+    else:
+        coeffs = (left.reshape(l * d, -1) @ right.T).reshape(l, d, r)
     return ProjectionTensor(coeffs=coeffs, norm=float(np.linalg.norm(coeffs)))
 
 
-def optimal_update(
+def compute_projection_tensor(state: MPS, target: DenseState) -> ProjectionTensor:
+    """Contract the target against the frozen isometries around the center.
+
+    Builds both environments from the chain ends with the same steps that
+    ``sweep`` carries along, reading the target once.
+    """
+    _check_dims(state, target)
+    check_gauge(state, tol=GAUGE_TOL)
+    n, c, m, t = state.n, state.center, state.n // 2, target.amplitudes
+    left = _left_start(m, t)
+    for i in range(c):
+        left = _left_env(left, state.sites[i], i, m, t)
+    right = np.ones((1, 1))
+    for i in range(n - 1, c, -1):
+        right = _right_env(right, state.sites[i], i, m, t)
+    return _projection(left, right, c, m, state.sites[c].shape)
+
+
+def _closest_point(
     state: MPS,
     target: DenseState,
-    stall_eps: float = 1e-14,
+    proj: ProjectionTensor,
+    stall_eps: float,
     *,
-    step: int = 0,
-    sweep_index: int = 0,
-    direction: str = "R",
+    step: int,
+    sweep_index: int,
+    direction: str,
 ) -> tuple[MPS, MetricRecord]:
-    """Replace the center core with the closest-point solution.
-
-    The new center is the normalized projection tensor, so the updated
-    state is the unit vector of the current subspace closest to the
-    target and its overlap equals the projection norm. If the projection
-    norm is at or below ``stall_eps`` the state is returned unchanged and
-    the record is flagged as stalled.
-    """
-    proj = compute_projection_tensor(state, target)
+    """Replace the center with the normalized projection and record the step."""
     if proj.norm <= stall_eps:
         overlap = overlap_dense(state, target)
         stalled = True
@@ -151,6 +199,30 @@ def optimal_update(
     return new_state, record
 
 
+def optimal_update(
+    state: MPS,
+    target: DenseState,
+    stall_eps: float = 1e-14,
+    *,
+    step: int = 0,
+    sweep_index: int = 0,
+    direction: str = "R",
+) -> tuple[MPS, MetricRecord]:
+    """Replace the center core with the closest-point solution.
+
+    The new center is the normalized projection tensor, so the updated
+    state is the unit vector of the current subspace closest to the
+    target and its overlap equals the projection norm. If the projection
+    norm is at or below ``stall_eps`` the state is returned unchanged and
+    the record is flagged as stalled.
+    """
+    proj = compute_projection_tensor(state, target)
+    return _closest_point(
+        state, target, proj, stall_eps,
+        step=step, sweep_index=sweep_index, direction=direction,
+    )
+
+
 def sweep(
     state: MPS,
     target: DenseState,
@@ -158,32 +230,42 @@ def sweep(
     sweep_index: int,
     step_offset: int = 0,
 ) -> tuple[MPS, list[MetricRecord]]:
-    """One full sweep: updates at sites 0..n-1 then back at n-2..0.
+    """One full sweep of ``optimal_update`` steps over ``sweep_schedule(n)``.
 
     Emits 2n-1 records (1 for n=1) and returns with the center at site 0.
+    The environments are carried from step to step (see the module
+    docstring). The whole gauge is checked once at the start; after that
+    only the isometry each gauge shift produces can change, and it is
+    checked right after its shift.
     """
     if state.center != 0:
         raise InputError(f"sweep requires center 0, got {state.center}")
-    n = state.n
+    _check_dims(state, target)
+    check_gauge(state, tol=GAUGE_TOL)
+    n, m, t = state.n, state.n // 2, target.amplitudes
+    # left[i] / right[i]: the environments of site i (see the module docstring)
+    left = [_left_start(m, t)] + [None] * (n - 1)
+    right = [None] * (n - 1) + [np.ones((1, 1))]
+    for i in range(n - 1, 0, -1):
+        right[i - 1] = _right_env(right[i], state.sites[i], i, m, t)
     records: list[MetricRecord] = []
-    step = step_offset
-    for site in range(n):
-        state, rec = optimal_update(
-            state, target, config.stall_eps,
-            step=step, sweep_index=sweep_index, direction="R",
-        )
-        records.append(rec)
-        step += 1
-        if site < n - 1:
+    for k, (site, direction) in enumerate(sweep_schedule(n)):
+        if direction == "R" and site > 0:
             state = shift_center(state, "right")
-    for site in range(n - 2, -1, -1):
-        state = shift_center(state, "left")
-        state, rec = optimal_update(
-            state, target, config.stall_eps,
-            step=step, sweep_index=sweep_index, direction="L",
+            core = state.sites[site - 1]
+            check_isometry(left_defect(core), GAUGE_TOL, f" at site {site - 1}")
+            left[site] = _left_env(left[site - 1], core, site - 1, m, t)
+        elif direction == "L":
+            state = shift_center(state, "left")
+            core = state.sites[site + 1]
+            check_isometry(right_defect(core), GAUGE_TOL, f" at site {site + 1}")
+            right[site] = _right_env(right[site + 1], core, site + 1, m, t)
+        proj = _projection(left[site], right[site], site, m, state.sites[site].shape)
+        state, record = _closest_point(
+            state, target, proj, config.stall_eps,
+            step=step_offset + k, sweep_index=sweep_index, direction=direction,
         )
-        records.append(rec)
-        step += 1
+        records.append(record)
     return state, records
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BoundaryError, GaugeError, InputError
 from .target import DenseState, check_dense_guard
-from .tensor import contract, qr_orthonormalize
+from .tensor import contract, qr_orthonormalize, qr_sign_fixed
 
 
 @dataclass(frozen=True)
@@ -68,20 +68,21 @@ def right_defect(core: np.ndarray) -> float:
 
 
 def gauge_defect(state: MPS) -> float:
-    """Worst isometry defect over all non-center sites."""
-    worst = 0.0
-    for j, core in enumerate(state.sites):
-        if j < state.center:
-            worst = max(worst, left_defect(core))
-        elif j > state.center:
-            worst = max(worst, right_defect(core))
-    return worst
+    """Worst isometry defect over all non-center sites (NaN if any is NaN)."""
+    j = state.center
+    defects = [left_defect(core) for core in state.sites[:j]]
+    defects += [right_defect(core) for core in state.sites[j + 1:]]
+    return float(np.max(defects, initial=0.0))
+
+
+def check_isometry(defect: float, tol: float = 1e-8, where: str = "") -> None:
+    """Raise GaugeError unless ``defect`` is at most ``tol`` (NaN fails)."""
+    if not defect <= tol:
+        raise GaugeError(f"isometry defect {defect:.3e}{where} exceeds {tol:g}")
 
 
 def check_gauge(state: MPS, tol: float = 1e-8) -> None:
-    defect = gauge_defect(state)
-    if defect > tol:
-        raise GaugeError(f"isometry defect {defect:.3e} exceeds {tol:g}")
+    check_isometry(gauge_defect(state), tol)
 
 
 def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
@@ -108,7 +109,12 @@ def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
 
 
 def shift_center(state: MPS, direction: str) -> MPS:
-    """Move the center one site left or right without changing the state."""
+    """Move the center one site left or right without changing the state.
+
+    The QR is not rank-checked: when the state's Schmidt rank at the bond
+    is below the bond dimension, the factor is still an isometry and the
+    move is still exact.
+    """
     j = state.center
     d = state.d
     sites = list(state.sites)
@@ -116,7 +122,7 @@ def shift_center(state: MPS, direction: str) -> MPS:
         if j == state.n - 1:
             raise BoundaryError("cannot shift right at the last site")
         l, _, r = sites[j].shape
-        q, t = qr_orthonormalize(sites[j].reshape(l * d, r))
+        q, t = qr_sign_fixed(sites[j].reshape(l * d, r))
         sites[j] = q.reshape(l, d, r)
         sites[j + 1] = contract(t, [1], sites[j + 1], [0])
         return replace(state, sites=tuple(sites), center=j + 1)
@@ -124,7 +130,7 @@ def shift_center(state: MPS, direction: str) -> MPS:
         if j == 0:
             raise BoundaryError("cannot shift left at site 0")
         l, _, r = sites[j].shape
-        q, t = qr_orthonormalize(sites[j].reshape(l, d * r).T)
+        q, t = qr_sign_fixed(sites[j].reshape(l, d * r).T)
         sites[j] = q.T.reshape(l, d, r)
         sites[j - 1] = contract(sites[j - 1], [2], t, [1])
         return replace(state, sites=tuple(sites), center=j - 1)

@@ -47,6 +47,10 @@ class DenseState:
                 f"expected {self.d}**{self.n} amplitudes, got shape {amps.shape}"
             )
         norm = float(np.linalg.norm(amps))
+        # a NaN or Inf amplitude makes the norm NaN or Inf, and a NaN
+        # would pass the unit-norm comparison below
+        if not np.isfinite(norm):
+            raise InputError("amplitudes must be finite (found NaN or Inf)")
         if abs(norm - 1.0) > 1e-12:
             raise InputError(f"amplitudes have norm {norm!r}, expected 1")
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import ContractShapeError, RankDeficiencyError
 
-# diagonal entries of R below this (in magnitude, before the sign fix)
-# are treated as rank deficiency
+# diagonal entries of R below this (in magnitude) are treated as rank
+# deficiency by qr_orthonormalize
 RANK_TOL = 1e-14
 
 
@@ -57,12 +57,15 @@ def contract(
     return np.tensordot(a, b, axes=(list(axes_a), list(axes_b)))
 
 
-def qr_orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR with the diagonal of R forced non-negative.
+def qr_sign_fixed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR with the diagonal of R forced non-negative, no rank check.
 
     Returns (q, t) with q.T @ q = I, q @ t = m, and t upper-triangular
-    with non-negative diagonal, so the factorization is unique and
-    bit-stable for identical input.
+    with non-negative diagonal, so the factorization is unique for full
+    rank input and bit-stable for identical input. Householder QR keeps
+    q orthonormal when ``m`` is rank-deficient, which is what a gauge
+    shift needs: a bond wider than the state's Schmidt rank is redundant,
+    not invalid.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -71,10 +74,20 @@ def qr_orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if r < c:
         raise ContractShapeError(f"need rows >= cols, got shape {m.shape}")
     q, t = np.linalg.qr(m)
+    signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
+    return q * signs, t * signs[:, None]
+
+
+def qr_orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``qr_sign_fixed`` that also refuses rank-deficient input.
+
+    Raises RankDeficiencyError naming the first column whose diagonal
+    entry of R is below RANK_TOL in magnitude.
+    """
+    q, t = qr_sign_fixed(m)
     diag = np.diagonal(t)
-    small = np.abs(diag) < RANK_TOL
+    small = diag < RANK_TOL
     if small.any():
         col = int(np.argmax(small))
         raise RankDeficiencyError(column=col, value=float(diag[col]))
-    signs = np.where(diag < 0.0, -1.0, 1.0)
-    return q * signs, t * signs[:, None]
+    return q, t

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .engine import TrainConfig, compute_projection_tensor, optimal_update
-from .mps import mps_to_dense, random_mps, shift_center
+from .engine import (
+    TrainConfig,
+    compute_projection_tensor,
+    optimal_update,
+    sweep,
+    sweep_schedule,
+)
+from .mps import gauge_to, mps_to_dense, random_mps
 from .oracle import project_onto_subspace_dense, subspace_basis_dense
 from .target import check_dense_guard, resolve_target
 
@@ -14,42 +22,63 @@ STATE_TOL = 1e-10
 
 
 def oracle_check(config: TrainConfig) -> list[str]:
-    """Compare engine updates against dense projections at every site.
+    """Compare one sweep of the engine against a dense-oracle replay.
 
-    Performs one full sweep of the config's instance, checking at each
-    center that the projection coefficients equal the dense basis inner
-    products and that the updated state equals the normalized dense
-    projection. Returns a list of mismatch descriptions (empty = pass).
+    Runs ``sweep`` once on the config's instance, then replays
+    ``sweep_schedule`` with the dense oracle: at each center it builds the
+    subspace basis, projects the target onto it and moves to the
+    normalized projection. At every step it checks that the projection
+    coefficients equal the dense basis inner products, that
+    ``optimal_update`` lands on the normalized dense projection, and that
+    the overlap ``sweep`` recorded equals the oracle's projection norm;
+    at the end, that ``sweep``'s final state equals the oracle's. Returns
+    a list of mismatch descriptions (empty = pass).
     """
     config.validate()
     check_dense_guard(config.n, config.d)
     target = resolve_target(config.target, config.n, config.d)
     state = random_mps(config.n, config.d, config.chi, config.seed)
+    swept, records = sweep(state, target, config, 0)
+    schedule = sweep_schedule(config.n)
     mismatches: list[str] = []
-    n = config.n
-    schedule = ["R"] * (n - 1) + ["L"] * (n - 1) or [None]
-    pos = 0
-    while True:
+    if len(records) != len(schedule):
+        mismatches.append(f"sweep emitted {len(records)} records, expected {len(schedule)}")
+    for (site, direction), record in zip(schedule, records):
+        state = gauge_to(state, site)
         basis = subspace_basis_dense(state)
         proj = compute_projection_tensor(state, target)
         expected = basis.vectors @ target.amplitudes
         err = float(np.max(np.abs(proj.coeffs.reshape(-1) - expected)))
         if err > COEFF_TOL:
             mismatches.append(
-                f"site {state.center}: projection coefficients differ by {err:.3e}"
+                f"site {site}: projection coefficients differ by {err:.3e}"
             )
         dense_proj, norm = project_onto_subspace_dense(target, basis)
-        state, record = optimal_update(state, target, config.stall_eps)
-        if not record.stalled:
-            got = mps_to_dense(state).amplitudes
+        updated, update_record = optimal_update(state, target, config.stall_eps)
+        if not update_record.stalled:
+            got = mps_to_dense(updated).amplitudes
             err = float(np.max(np.abs(got - dense_proj / norm)))
             if err > STATE_TOL:
                 mismatches.append(
-                    f"site {record.site}: updated state differs from "
+                    f"site {site}: updated state differs from "
                     f"normalized dense projection by {err:.3e}"
                 )
-        if pos >= len(schedule) or schedule[pos] is None:
-            break
-        state = shift_center(state, "right" if schedule[pos] == "R" else "left")
-        pos += 1
+        if norm > config.stall_eps:
+            sites = list(state.sites)
+            sites[site] = (expected / norm).reshape(sites[site].shape)
+            state = replace(state, sites=tuple(sites))
+            overlap = norm
+        else:
+            overlap = float(mps_to_dense(state).amplitudes @ target.amplitudes)
+        err = abs(record.overlap - overlap)
+        if not err <= COEFF_TOL:
+            mismatches.append(
+                f"site {site} ({direction}): sweep recorded overlap "
+                f"{record.overlap!r}, oracle projection norm {overlap!r}"
+            )
+    err = float(np.max(np.abs(
+        mps_to_dense(swept).amplitudes - mps_to_dense(state).amplitudes
+    )))
+    if not err <= STATE_TOL:
+        mismatches.append(f"final state of sweep differs from the oracle's by {err:.3e}")
     return mismatches

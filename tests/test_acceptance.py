@@ -132,6 +132,27 @@ def test_c5_exact_recovery_regression(tmp_path):
     report(f"C5 exact recovery: converged at overlap {traj[-1].overlap!r}")
 
 
+# targets whose Schmidt rank is below the bond cap: the first update leaves a
+# rank-deficient bond, which the following gauge shift must carry exactly
+RANK_DEFICIENT_CASES = [
+    ("named:uniform", 2),
+    ("named:basis:5", 2),
+    ("named:ghz", 4),
+    ("named:w", 4),
+    ("named:uniform", 8),
+]
+
+
+def test_rank_deficient_targets_converge():
+    for spec, chi in RANK_DEFICIENT_CASES:
+        cfg = TrainConfig(n=6, d=2, chi=chi, seed=0, target=spec, max_sweeps=10)
+        state, traj, _ = train(cfg)
+        assert traj[-1].overlap >= 1.0 - 1e-12, (spec, chi, traj[-1])
+        assert gauge_defect(state) < 1e-10, (spec, chi)
+        assert not oracle_check(cfg), (spec, chi)
+    report(f"rank-deficient targets: {len(RANK_DEFICIENT_CASES)} cases reach overlap 1")
+
+
 def test_c6_gauge_noop_suite():
     moves = 0
     for seed in range(20):

@@ -95,6 +95,18 @@ class TestRunCommand:
         code = run(tmp_path, "--target", f"counts:{tfile}")
         assert code == 0
 
+    def test_nan_target_file_exit_2(self, tmp_path, capsys):
+        tfile = tmp_path / "target.json"
+        tfile.write_text(json.dumps(
+            {"kind": "amplitudes", "n": 3, "d": 2,
+             "amplitudes": [float("nan")] + [0.0] * 7}
+        ))
+        code = run(tmp_path, "--target", f"file:{tfile}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     def test_oracle_check_passes(self, tmp_path):
         assert run(tmp_path, "--oracle-check") == 0
 

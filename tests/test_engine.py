@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from sphere_dmrg.engine import (
     compute_projection_tensor,
     optimal_update,
     sweep,
+    sweep_schedule,
     train,
 )
 from sphere_dmrg.errors import GaugeError, InputError
@@ -171,6 +174,64 @@ class TestSweep:
             for a, b in zip(records, records[1:]):
                 if not (a.stalled or b.stalled):
                     assert b.overlap >= a.overlap - 1e-12
+
+
+class TestSweepFold:
+    """``sweep`` carries its environments; it must agree with from-scratch updates."""
+
+    def test_schedule(self):
+        assert sweep_schedule(1) == [(0, "R")]
+        assert sweep_schedule(3) == [(0, "R"), (1, "R"), (2, "R"), (1, "L"), (0, "L")]
+
+    def test_matches_update_replay(self):
+        for n, d, chi in itertools.product(range(1, 10), (2, 3), (1, 2, 3, 16)):
+            start = random_mps(n, d, chi, seed=n + chi)
+            target = named_state("random", n, d, seed=100 + n)
+            cfg = TrainConfig(n=n, d=d, chi=chi)
+            state, replay = start, start
+            for k in range(2):
+                state, records = sweep(state, target, cfg, k, step_offset=k * (2 * n - 1))
+                for rec, (site, direction) in zip(records, sweep_schedule(n)):
+                    replay, expected = optimal_update(
+                        gauge_to(replay, site), target, cfg.stall_eps,
+                        step=rec.step, sweep_index=k, direction=direction,
+                    )
+                    assert (rec.step, rec.sweep, rec.site, rec.direction, rec.stalled) == (
+                        expected.step, expected.sweep, expected.site,
+                        expected.direction, expected.stalled,
+                    ), (n, d, chi)
+                    assert abs(rec.overlap - expected.overlap) < 1e-12, (n, d, chi, rec)
+                assert len(records) == len(sweep_schedule(n))
+                replay = gauge_to(replay, 0)
+            np.testing.assert_allclose(
+                mps_to_dense(state).amplitudes, mps_to_dense(replay).amplitudes,
+                atol=1e-12,
+            )
+
+    def test_working_set_below_half_the_target(self):
+        n, chi = 18, 8
+        state = random_mps(n, 2, chi, seed=5)
+        target = named_state("random", n, 2, seed=6)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sweep(state, target, TrainConfig(n=n, chi=chi), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < target.amplitudes.nbytes / 2
+
+    def test_gauge_violation_refused(self):
+        state = random_mps(4, 2, 2, seed=1)
+        sites = list(state.sites)
+        sites[2] = sites[2] * 2.0
+        broken = dataclasses.replace(state, sites=tuple(sites))
+        with pytest.raises(GaugeError):
+            sweep(broken, named_state("uniform", 4, 2), TrainConfig(n=4), 0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InputError):
+            sweep(random_mps(3, 2, 2, seed=0), named_state("uniform", 4, 2), TrainConfig(n=3), 0)
 
 
 class TestTrain:

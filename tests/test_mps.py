@@ -87,6 +87,20 @@ class TestShiftCenter:
             mps_to_dense(shifted).amplitudes, [1.0, 0.0, 0.0, 0.0]
         )
 
+    def test_rank_deficient_bond_shifts_exactly(self):
+        # a product state carried on a bond of dimension 2
+        a0 = np.zeros((1, 2, 2))
+        a0[0, 0, 0] = 1.0
+        a1 = np.eye(2).reshape(2, 2, 1)
+        state = MPS(sites=(a0, a1), center=0, d=2)
+        shifted = shift_center(state, "right")
+        np.testing.assert_allclose(
+            mps_to_dense(shifted).amplitudes, [1.0, 0.0, 0.0, 0.0], atol=1e-15
+        )
+        assert left_defect(shifted.sites[0]) < 1e-12
+        back = shift_center(shifted, "left")
+        assert right_defect(back.sites[1]) < 1e-12
+
     def test_dense_state_preserved(self):
         state = random_mps(4, 2, 3, seed=4)
         before = mps_to_dense(state).amplitudes

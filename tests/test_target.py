@@ -26,6 +26,11 @@ class TestDenseState:
         with pytest.raises(InputError):
             DenseState(n=1, d=2, amplitudes=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InputError):
+            DenseState(n=1, d=2, amplitudes=np.array([1.0, bad]))
+
 
 class TestStateFromCounts:
     def test_uniform_two_outcome(self):

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sphere_dmrg.errors import ContractShapeError, RankDeficiencyError
-from sphere_dmrg.tensor import contract, qr_orthonormalize
+from sphere_dmrg.tensor import contract, qr_orthonormalize, qr_sign_fixed
 
 from conftest import loop_contract
 
@@ -131,5 +131,21 @@ class TestQROrthonormalize:
         m = rng.standard_normal((7, 4))
         q1, t1 = qr_orthonormalize(m)
         q2, t2 = qr_orthonormalize(m.copy())
+        assert q1.tobytes() == q2.tobytes()
+        assert t1.tobytes() == t2.tobytes()
+
+
+class TestQRSignFixed:
+    def test_rank_deficient_still_orthonormal(self):
+        m = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+        q, t = qr_sign_fixed(m)
+        np.testing.assert_allclose(q @ t, m, atol=1e-12)
+        np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-12)
+        assert np.all(np.diagonal(t) >= 0)
+
+    def test_agrees_with_checked_qr_on_full_rank(self):
+        m = np.random.default_rng(11).standard_normal((6, 3))
+        q1, t1 = qr_sign_fixed(m)
+        q2, t2 = qr_orthonormalize(m)
         assert q1.tobytes() == q2.tobytes()
         assert t1.tobytes() == t2.tobytes()
