@@ -11,6 +11,7 @@ Operations return new MPS values; treat instances as immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -197,12 +198,25 @@ def mps_to_json_dict(state: MPS) -> dict:
 
 
 def mps_from_json_dict(doc: dict) -> MPS:
+    """Rebuild an MPS from ``mps_to_json_dict`` output; InputError if malformed."""
+    try:
+        n, d, center = int(doc["n"]), int(doc["d"]), int(doc["center"])
+        cores = [(tuple(entry["shape"]), np.asarray(entry["data"], dtype=np.float64))
+                 for entry in doc["tensors"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed MPS document: {exc!r}") from exc
     sites = []
-    for entry in doc["tensors"]:
-        shape = tuple(entry["shape"])
-        core = np.asarray(entry["data"], dtype=np.float64).reshape(shape)
-        sites.append(core)
-    if len(sites) != doc["n"]:
-        raise InputError(f"expected {doc['n']} tensors, got {len(sites)}")
+    for j, (shape, data) in enumerate(cores):
+        if len(shape) != 3 or shape[1] != d or min(shape) < 1:
+            raise InputError(f"core {j} has shape {shape}, expected (left, {d}, right)")
+        if data.shape != (math.prod(shape),):
+            raise InputError(f"core {j} has {data.size} values for shape {shape}")
+        if not np.isfinite(data).all():
+            raise InputError(f"core {j} holds a NaN or Inf entry")
+        sites.append(data.reshape(shape))
+    if len(sites) != n:
+        raise InputError(f"expected {n} tensors, got {len(sites)}")
+    if not 0 <= center < n:
+        raise InputError(f"center {center} outside [0, {n})")
     _validate_chain(sites)
-    return MPS(sites=tuple(sites), center=int(doc["center"]), d=int(doc["d"]))
+    return MPS(sites=tuple(sites), center=center, d=d)

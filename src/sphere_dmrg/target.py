@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,34 +61,72 @@ class DenseState:
         return self.d**self.n
 
 
-def index_of_string(digits: str, d: int) -> int:
-    """Big-endian index of a digit string, e.g. "100" -> 4 for d=2."""
-    idx = 0
-    for ch in digits:
-        v = int(ch)
-        if not (0 <= v < d):
-            raise InputError(f"digit {ch!r} out of range for d={d} in key {digits!r}")
-        idx = idx * d + v
+def _digit_indices(keys: Collection[str], n: int, d: int) -> np.ndarray:
+    """Big-endian int64 indices of length-n ASCII digit strings, each digit < d.
+
+    One pass over a (len(keys), n) uint8 view of the keys; no wider array
+    of that shape is built.
+    """
+    if n < 1:
+        raise InputError("counts keys must be non-empty digit strings")
+    try:
+        raw = np.fromiter(keys, dtype=f"S{n}", count=len(keys))
+    except UnicodeEncodeError:
+        key = next(k for k in keys if not k.isascii())
+        raise InputError(f"key {key!r} is not an ASCII digit string") from None
+    digits = raw.view(np.uint8).reshape(len(keys), n)
+    # a byte below '0' wraps to >= 208, so one bound catches every bad digit
+    digits -= ord("0")
+    limit = min(d, 10)
+    if digits.max() >= limit:
+        row = int(np.argmax((digits >= limit).any(axis=1)))
+        key = list(keys)[row]
+        ch = key[int(np.argmax(digits[row] >= limit))]
+        raise InputError(f"digit {ch!r} out of range for d={d} in key {key!r}")
+    idx = np.zeros(len(keys), dtype=np.int64)
+    for j in range(n):
+        idx *= d
+        idx += digits[:, j]
     return idx
 
 
+def index_of_string(digits: str, d: int) -> int:
+    """Big-endian index of a digit string, e.g. "100" -> 4 for d=2."""
+    return int(_digit_indices([digits], len(digits), d)[0])
+
+
 def state_from_counts(counts: dict[str, int], d: int) -> DenseState:
-    """Amplitude-encode an empirical distribution over digit strings."""
+    """Amplitude-encode an empirical distribution over digit strings.
+
+    Keys are equal-length ASCII digit strings with every digit below d;
+    counts are positive finite numbers (not strings or bools).
+    """
     if not counts:
         raise InputError("counts map is empty")
-    keys = list(counts)
-    n = len(keys[0])
-    total = 0
-    for key, c in counts.items():
-        if len(key) != n:
-            raise InputError(f"key {key!r} has length {len(key)}, expected {n}")
-        if c <= 0:
-            raise InputError(f"count for key {key!r} must be positive, got {c}")
-        total += c
+    if d < 1:
+        raise InputError(f"invalid local dimension d={d}")
+    n = len(next(iter(counts)))
+    if len(set(map(len, counts))) > 1:
+        key = next(k for k in counts if len(k) != n)
+        raise InputError(f"key {key!r} has length {len(key)}, expected {n}")
+    for kind in set(map(type, counts.values())):
+        if kind is bool or not issubclass(kind, numbers.Real):
+            key, c = next((k, c) for k, c in counts.items() if type(c) is kind)
+            raise InputError(f"count for key {key!r} must be a number, got {c!r}")
+    weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    # a NaN count fails the first comparison
+    if not (weights.min() > 0 and weights.max() < math.inf):
+        key, c = next((k, c) for k, c in counts.items() if not 0 < c < math.inf)
+        raise InputError(f"count for key {key!r} must be positive and finite, got {c}")
     check_dense_guard(n, d)
+    idx = _digit_indices(counts, n, d)
+    # the exact integer total keeps sqrt(count / total) bit-equal to the
+    # per-key formula
+    total = sum(counts.values())
+    np.divide(weights, total, out=weights)
+    np.sqrt(weights, out=weights)
     amps = np.zeros(d**n)
-    for key, c in counts.items():
-        amps[index_of_string(key, d)] = math.sqrt(c / total)
+    amps[idx] = weights
     # sum of count/total is exactly the simplex; renormalize away rounding
     amps /= np.linalg.norm(amps)
     return DenseState(n=n, d=d, amplitudes=amps)
@@ -116,7 +156,10 @@ def named_state(name: str, n: int, d: int, seed: int | None = None) -> DenseStat
         for i in range(n):
             amps[2 ** (n - 1 - i)] = 1.0 / math.sqrt(n)
     elif name.startswith("basis:"):
-        k = int(name.split(":", 1)[1])
+        try:
+            k = int(name.split(":", 1)[1])
+        except ValueError:
+            raise InputError(f"basis index in {name!r} is not an integer") from None
         if not (0 <= k < dim):
             raise InputError(f"basis index {k} out of range [0, {dim})")
         amps = np.zeros(dim)
@@ -132,23 +175,47 @@ def named_state(name: str, n: int, d: int, seed: int | None = None) -> DenseStat
     return DenseState(n=n, d=d, amplitudes=amps)
 
 
-def load_target_file(path: str, n: int, d: int) -> DenseState:
-    """Load a target from a JSON file of kind "counts" or "amplitudes"."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    kind = doc.get("kind")
-    if kind == "counts":
-        state = state_from_counts(doc["counts"], d=int(doc["d"]))
-    elif kind == "amplitudes":
-        amps = np.asarray(doc["amplitudes"], dtype=np.float64)
+def _int_field(doc: dict, name: str, path: str) -> int:
+    value = doc.get(name)
+    if type(value) is not int:
+        raise InputError(f"field {name!r} in {path} must be an integer, got {value!r}")
+    return value
+
+
+def load_target_file(path: str, n: int, d: int, kind: str | None = None) -> DenseState:
+    """Load a target from a JSON file of kind "counts" or "amplitudes".
+
+    A given ``kind`` refuses files of the other kind.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+        raise InputError(f"cannot read target file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"target file {path} does not hold a JSON object")
+    file_kind = doc.get("kind")
+    if kind is not None and file_kind != kind:
+        raise InputError(f"{path} is not a {kind} target file")
+    if file_kind == "counts":
+        counts = doc.get("counts")
+        if not isinstance(counts, dict):
+            raise InputError(f"field 'counts' in {path} must be an object")
+        state = state_from_counts(counts, d=_int_field(doc, "d", path))
+    elif file_kind == "amplitudes":
+        try:
+            amps = np.asarray(doc.get("amplitudes"), dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"field 'amplitudes' in {path}: {exc}") from exc
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-6:
             raise InputError(f"amplitudes in {path} have norm {norm!r}")
         state = DenseState(
-            n=int(doc["n"]), d=int(doc["d"]), amplitudes=amps / norm
+            n=_int_field(doc, "n", path), d=_int_field(doc, "d", path),
+            amplitudes=amps / norm,
         )
     else:
-        raise InputError(f"unknown target file kind {kind!r} in {path}")
+        raise InputError(f"unknown target file kind {file_kind!r} in {path}")
     if state.n != n or state.d != d:
         raise InputError(
             f"target in {path} has (n, d) = ({state.n}, {state.d}), "
@@ -170,16 +237,5 @@ def resolve_target(spec: str, n: int, d: int) -> DenseState:
     if spec.startswith("file:"):
         return load_target_file(spec[len("file:"):], n, d)
     if spec.startswith("counts:"):
-        path = spec[len("counts:"):]
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("kind") != "counts":
-            raise InputError(f"{path} is not a counts target file")
-        state = state_from_counts(doc["counts"], d=int(doc["d"]))
-        if state.n != n or state.d != d:
-            raise InputError(
-                f"counts in {path} describe (n, d) = ({state.n}, {state.d}), "
-                f"run requires ({n}, {d})"
-            )
-        return state
+        return load_target_file(spec[len("counts:"):], n, d, kind="counts")
     raise InputError(f"unrecognized target spec {spec!r}")

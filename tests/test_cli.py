@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from sphere_dmrg.cli import CSV_HEADER, main
 from sphere_dmrg.mps import mps_from_json_dict, mps_to_dense
 
@@ -102,6 +104,28 @@ class TestRunCommand:
              "amplitudes": [float("nan")] + [0.0] * 7}
         ))
         code = run(tmp_path, "--target", f"file:{tfile}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", [
+        "named:basis:x",
+        "file:{tmp}/absent.json",
+        "file:{tmp}/truncated.json",
+        "counts:{tmp}/no_d.json",
+        "counts:{tmp}/string_count.json",
+        "counts:{tmp}/bad_digit.json",
+    ])
+    def test_malformed_target_exit_2(self, tmp_path, capsys, spec):
+        (tmp_path / "truncated.json").write_text('{"kind": "counts", "d": 2, "cou')
+        for name, doc in [
+            ("no_d", {"kind": "counts", "counts": {"000": 1}}),
+            ("string_count", {"kind": "counts", "d": 2, "counts": {"000": "3"}}),
+            ("bad_digit", {"kind": "counts", "d": 2, "counts": {"0a0": 1}}),
+        ]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        code = run(tmp_path, "--target", spec.format(tmp=tmp_path))
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")

@@ -219,6 +219,27 @@ class TestSerialization:
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("field, value", [
+        ("center", 3),
+        ("center", -1),
+        ("d", 3),
+        ("data", [0.0] * 3),
+        ("data", [math.nan] * 4),
+        ("data", [math.inf] * 4),
+        ("data", ["a"] * 4),
+        ("n", None),
+    ])
+    def test_rejects_malformed_document(self, field, value):
+        doc = json.loads(json.dumps(mps_to_json_dict(random_mps(3, 2, 2, seed=1))))
+        if field == "data":
+            doc["tensors"][0] = {"shape": [1, 2, 2], "data": value}
+        elif value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(InputError):
+            mps_from_json_dict(doc)
+
     def test_schema_fields(self):
         doc = mps_to_json_dict(random_mps(3, 2, 2, seed=1))
         assert set(doc) == {"n", "d", "center", "tensors"}

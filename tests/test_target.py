@@ -80,6 +80,61 @@ class TestStateFromCounts:
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
+def per_key_amplitudes(counts, d):
+    """The per-key loop the vectorized encoder replaced, as a reference."""
+    n = len(next(iter(counts)))
+    total = sum(counts.values())
+    amps = np.zeros(d**n)
+    for key, c in counts.items():
+        idx = 0
+        for ch in key:
+            idx = idx * d + int(ch)
+        amps[idx] = math.sqrt(c / total)
+    return amps / np.linalg.norm(amps)
+
+
+class TestCountsEncoder:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_equal_to_per_key_loop(self, data):
+        d = data.draw(st.sampled_from([2, 3, 10]))
+        # d=10 stops at n=6 to keep the dense vector at 8 MB
+        n = data.draw(st.integers(1, 8 if d < 10 else 6))
+        counts = data.draw(st.dictionaries(
+            st.text(alphabet="0123456789"[:d], min_size=n, max_size=n),
+            st.integers(1, 10**9),
+            min_size=1, max_size=60,
+        ))
+        state = state_from_counts(counts, d=d)
+        assert state.amplitudes.tobytes() == per_key_amplitudes(counts, d).tobytes()
+
+    def test_bitwise_equal_at_benchmark_shape(self):
+        n = 18
+        rng = np.random.default_rng(1000)
+        keys, counts = np.unique(rng.integers(0, 2**n, 200_000), return_counts=True)
+        doc = {format(int(k), f"0{n}b"): int(c) for k, c in zip(keys, counts)}
+        state = state_from_counts(doc, d=2)
+        assert state.amplitudes.tobytes() == per_key_amplitudes(doc, 2).tobytes()
+
+    @pytest.mark.parametrize("counts, d", [
+        ({"-": 1}, 1000),  # '-' wraps to 253, inside range(1000)
+        ({"\u0661": 1}, 10),  # ARABIC-INDIC DIGIT ONE, which int() accepts
+        ({"00": 1, "0a": 1}, 2),
+        ({"00": 1, "01": math.nan}, 2),
+        ({"00": 1, "01": math.inf}, 2),
+        ({"00": 1, "01": "3"}, 2),
+        ({"00": 1, "01": True}, 2),
+        ({"": 1}, 2),
+    ])
+    def test_rejects(self, counts, d):
+        with pytest.raises(InputError):
+            state_from_counts(counts, d=d)
+
+    def test_error_names_first_bad_digit(self):
+        with pytest.raises(InputError, match="digit 'a' out of range for d=2 in key '0a'"):
+            state_from_counts({"00": 1, "0a": 1, "b0": 1}, d=2)
+
+
 class TestIndexOfString:
     def test_big_endian(self):
         assert index_of_string("100", 2) == 4
@@ -188,3 +243,35 @@ class TestResolveTarget:
     def test_unrecognized(self):
         with pytest.raises(InputError):
             resolve_target("ghz", 2, 2)
+
+    def test_basis_index_not_an_integer(self):
+        with pytest.raises(InputError, match="not an integer"):
+            resolve_target("named:basis:x", 2, 2)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(InputError, match="cannot read"):
+            resolve_target(f"file:{tmp_path / 'absent.json'}", 2, 2)
+
+    @pytest.mark.parametrize("text", [
+        '{"kind": "counts", "d": 2, "counts": {"00": 1',  # truncated
+        '{"kind": "counts", "counts": {"00": 1}}',  # no "d"
+        '{"kind": "counts", "d": "2", "counts": {"00": 1}}',
+        '{"kind": "counts", "d": 2, "counts": {"00": "3"}}',
+        '{"kind": "counts", "d": 2, "counts": ["00"]}',
+        '{"kind": "counts", "d": 2, "counts": {"0a": 1}}',
+        '{"kind": "amplitudes", "n": 2, "d": 2, "amplitudes": ["x"]}',
+        '["counts"]',
+    ])
+    @pytest.mark.parametrize("prefix", ["file:", "counts:"])
+    def test_malformed_file(self, tmp_path, prefix, text):
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        with pytest.raises(InputError):
+            resolve_target(f"{prefix}{path}", 2, 2)
+
+    def test_counts_spec_refuses_amplitudes_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"kind": "amplitudes", "n": 1, "d": 2, "amplitudes": [1.0, 0.0]}))
+        assert resolve_target(f"file:{path}", 1, 2).amplitudes[0] == 1.0
+        with pytest.raises(InputError, match="is not a counts target file"):
+            resolve_target(f"counts:{path}", 1, 2)
