@@ -32,8 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sweeps", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-10,
                    help="overlap-change convergence tolerance per sweep")
-    p.add_argument("--stall-eps", type=float, default=1e-14,
-                   help="projection-norm threshold below which an update stalls")
     p.add_argument("--target", required=True,
                    help="named:<name>[:seed] | file:<path> | counts:<path>")
     p.add_argument("--out", required=True, help="output directory")
@@ -71,7 +69,6 @@ def config_from_args(args) -> TrainConfig:
         seed=args.seed,
         max_sweeps=args.max_sweeps,
         tol=args.tol,
-        stall_eps=args.stall_eps,
         target=args.target,
     )
     try:
@@ -80,7 +77,6 @@ def config_from_args(args) -> TrainConfig:
         flags = {
             "n": "--sites", "d": "--phys-dim", "chi": "--bond-dim",
             "max_sweeps": "--max-sweeps", "tol": "--tol",
-            "stall_eps": "--stall-eps",
         }
         msg = str(exc)
         for field, flag in flags.items():
@@ -98,8 +94,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     out = args.out
-    os.makedirs(out, exist_ok=True)
-    if os.listdir(out) and not args.force:
+    try:
+        os.makedirs(out, exist_ok=True)
+        nonempty = bool(os.listdir(out))
+    except OSError as exc:
+        print(f"error: cannot use output directory {out!r}: {exc}", file=sys.stderr)
+        return 2
+    if nonempty and not args.force:
         print(f"error: output directory {out!r} is not empty "
               "(pass --force to overwrite)", file=sys.stderr)
         return 2

@@ -19,6 +19,11 @@ A sweep carries its environments along, so it reads the target three
 times (the right fold at its start, then one crossing in each direction)
 and holds O(chi * d**(ceil(n/2) + 1)) numbers besides the target, instead
 of rebuilding target-sized blocks at every update.
+
+An update whose projection norm is at or below ``STALL_EPS`` stalls: it
+keeps the state and records the overlap the state already has, which lies
+in the single-site subspace and so is read off the projection coefficients
+without another pass over the target.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .mps import (
     check_gauge,
     check_isometry,
     left_defect,
-    overlap_dense,
     random_mps,
     right_defect,
     shift_center,
@@ -42,7 +46,8 @@ from .mps import (
 from .target import DenseState, resolve_target
 from .tensor import contract  # noqa: F401  (perfbench/layers.py wraps engine.contract)
 
-GAUGE_TOL = 1e-8
+#: projection norm at or below which an update stalls
+STALL_EPS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,6 @@ class TrainConfig:
     seed: int = 0
     max_sweeps: int = 100
     tol: float = 1e-10
-    stall_eps: float = 1e-14
     target: str = "named:uniform"
 
     def validate(self) -> None:
@@ -87,10 +91,9 @@ class TrainConfig:
             raise InputError(f"chi must be >= 1, got chi={self.chi}")
         if self.max_sweeps < 1:
             raise InputError(f"max_sweeps must be >= 1, got max_sweeps={self.max_sweeps}")
-        if self.tol <= 0:
+        # written so that NaN fails too
+        if not self.tol > 0:
             raise InputError(f"tol must be > 0, got tol={self.tol}")
-        if self.stall_eps <= 0:
-            raise InputError(f"stall_eps must be > 0, got stall_eps={self.stall_eps}")
 
 
 def sweep_schedule(n: int) -> list[tuple[int, str]]:
@@ -154,7 +157,7 @@ def compute_projection_tensor(state: MPS, target: DenseState) -> ProjectionTenso
     ``sweep`` carries along, reading the target once.
     """
     _check_dims(state, target)
-    check_gauge(state, tol=GAUGE_TOL)
+    check_gauge(state)
     n, c, m, t = state.n, state.center, state.n // 2, target.amplitudes
     left = _left_start(m, t)
     for i in range(c):
@@ -167,17 +170,17 @@ def compute_projection_tensor(state: MPS, target: DenseState) -> ProjectionTenso
 
 def _closest_point(
     state: MPS,
-    target: DenseState,
     proj: ProjectionTensor,
-    stall_eps: float,
     *,
     step: int,
     sweep_index: int,
     direction: str,
 ) -> tuple[MPS, MetricRecord]:
     """Replace the center with the normalized projection and record the step."""
-    if proj.norm <= stall_eps:
-        overlap = overlap_dense(state, target)
+    if proj.norm <= STALL_EPS:
+        # the state lies in the subspace, so its overlap is its center's
+        # inner product with the projection coefficients
+        overlap = float(np.vdot(state.sites[state.center], proj.coeffs))
         stalled = True
         new_state = state
     else:
@@ -202,7 +205,6 @@ def _closest_point(
 def optimal_update(
     state: MPS,
     target: DenseState,
-    stall_eps: float = 1e-14,
     *,
     step: int = 0,
     sweep_index: int = 0,
@@ -213,20 +215,19 @@ def optimal_update(
     The new center is the normalized projection tensor, so the updated
     state is the unit vector of the current subspace closest to the
     target and its overlap equals the projection norm. If the projection
-    norm is at or below ``stall_eps`` the state is returned unchanged and
-    the record is flagged as stalled.
+    norm is at or below ``STALL_EPS`` the state is returned unchanged, the
+    record is flagged as stalled and its overlap is taken from the
+    projection coefficients, with no further read of the target.
     """
     proj = compute_projection_tensor(state, target)
     return _closest_point(
-        state, target, proj, stall_eps,
-        step=step, sweep_index=sweep_index, direction=direction,
+        state, proj, step=step, sweep_index=sweep_index, direction=direction
     )
 
 
 def sweep(
     state: MPS,
     target: DenseState,
-    config: TrainConfig,
     sweep_index: int,
     step_offset: int = 0,
 ) -> tuple[MPS, list[MetricRecord]]:
@@ -241,7 +242,7 @@ def sweep(
     if state.center != 0:
         raise InputError(f"sweep requires center 0, got {state.center}")
     _check_dims(state, target)
-    check_gauge(state, tol=GAUGE_TOL)
+    check_gauge(state)
     n, m, t = state.n, state.n // 2, target.amplitudes
     # left[i] / right[i]: the environments of site i (see the module docstring)
     left = [_left_start(m, t)] + [None] * (n - 1)
@@ -253,17 +254,16 @@ def sweep(
         if direction == "R" and site > 0:
             state = shift_center(state, "right")
             core = state.sites[site - 1]
-            check_isometry(left_defect(core), GAUGE_TOL, f" at site {site - 1}")
+            check_isometry(left_defect(core), f" at site {site - 1}")
             left[site] = _left_env(left[site - 1], core, site - 1, m, t)
         elif direction == "L":
             state = shift_center(state, "left")
             core = state.sites[site + 1]
-            check_isometry(right_defect(core), GAUGE_TOL, f" at site {site + 1}")
+            check_isometry(right_defect(core), f" at site {site + 1}")
             right[site] = _right_env(right[site + 1], core, site + 1, m, t)
         proj = _projection(left[site], right[site], site, m, state.sites[site].shape)
         state, record = _closest_point(
-            state, target, proj, config.stall_eps,
-            step=step_offset + k, sweep_index=sweep_index, direction=direction,
+            state, proj, step=step_offset + k, sweep_index=sweep_index, direction=direction
         )
         records.append(record)
     return state, records
@@ -282,7 +282,7 @@ def train(config: TrainConfig) -> tuple[MPS, list[MetricRecord], str]:
     reason = "sweep-limit"
     prev_last = None
     for k in range(config.max_sweeps):
-        state, records = sweep(state, target, config, k, step_offset=len(trajectory))
+        state, records = sweep(state, target, k, step_offset=len(trajectory))
         trajectory.extend(records)
         last = records[-1].overlap
         if prev_last is not None and abs(last - prev_last) < config.tol:

@@ -28,7 +28,7 @@ class BoundaryError(SphereDMRGError):
     """Gauge move would leave the chain."""
 
 
-class DenseSizeError(SphereDMRGError):
+class DenseSizeError(InputError):
     """Dense amplitude vector would exceed the size guard."""
 
 

@@ -20,6 +20,9 @@ from .errors import BoundaryError, GaugeError, InputError
 from .target import DenseState, check_dense_guard
 from .tensor import contract, qr_orthonormalize, qr_sign_fixed
 
+#: largest isometry defect a non-center core may have
+GAUGE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class MPS:
@@ -32,10 +35,6 @@ class MPS:
     @property
     def n(self) -> int:
         return len(self.sites)
-
-    def bond_dims(self) -> list[int]:
-        """Interior bond dimensions, bond i sitting between sites i and i+1."""
-        return [t.shape[2] for t in self.sites[:-1]]
 
 
 def bond_dim(n: int, d: int, chi: int, i: int) -> int:
@@ -76,14 +75,14 @@ def gauge_defect(state: MPS) -> float:
     return float(np.max(defects, initial=0.0))
 
 
-def check_isometry(defect: float, tol: float = 1e-8, where: str = "") -> None:
-    """Raise GaugeError unless ``defect`` is at most ``tol`` (NaN fails)."""
-    if not defect <= tol:
-        raise GaugeError(f"isometry defect {defect:.3e}{where} exceeds {tol:g}")
+def check_isometry(defect: float, where: str = "") -> None:
+    """Raise GaugeError unless ``defect`` is at most ``GAUGE_TOL`` (NaN fails)."""
+    if not defect <= GAUGE_TOL:
+        raise GaugeError(f"isometry defect {defect:.3e}{where} exceeds {GAUGE_TOL:g}")
 
 
-def check_gauge(state: MPS, tol: float = 1e-8) -> None:
-    check_isometry(gauge_defect(state), tol)
+def check_gauge(state: MPS) -> None:
+    check_isometry(gauge_defect(state))
 
 
 def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
@@ -125,7 +124,8 @@ def shift_center(state: MPS, direction: str) -> MPS:
         l, _, r = sites[j].shape
         q, t = qr_sign_fixed(sites[j].reshape(l * d, r))
         sites[j] = q.reshape(l, d, r)
-        sites[j + 1] = contract(t, [1], sites[j + 1], [0])
+        nxt = sites[j + 1]
+        sites[j + 1] = (t @ nxt.reshape(r, -1)).reshape(nxt.shape)
         return replace(state, sites=tuple(sites), center=j + 1)
     if direction == "left":
         if j == 0:
@@ -133,7 +133,8 @@ def shift_center(state: MPS, direction: str) -> MPS:
         l, _, r = sites[j].shape
         q, t = qr_sign_fixed(sites[j].reshape(l, d * r).T)
         sites[j] = q.T.reshape(l, d, r)
-        sites[j - 1] = contract(sites[j - 1], [2], t, [1])
+        prev = sites[j - 1]
+        sites[j - 1] = (prev.reshape(-1, l) @ t.T).reshape(prev.shape)
         return replace(state, sites=tuple(sites), center=j - 1)
     raise InputError(f"direction must be 'left' or 'right', got {direction!r}")
 

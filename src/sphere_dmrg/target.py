@@ -25,11 +25,11 @@ from .errors import DenseSizeError, InputError
 DENSE_GUARD_BITS = 30.0
 
 
-def check_dense_guard(n: int, d: int, limit_bits: float = DENSE_GUARD_BITS) -> None:
-    if n * math.log2(d) > limit_bits + 1e-9:
+def check_dense_guard(n: int, d: int) -> None:
+    if n * math.log2(d) > DENSE_GUARD_BITS + 1e-9:
         raise DenseSizeError(
             f"dense vector of {d}**{n} amplitudes exceeds the "
-            f"2**{limit_bits:g} size guard"
+            f"2**{DENSE_GUARD_BITS:g} size guard"
         )
 
 
@@ -88,11 +88,6 @@ def _digit_indices(keys: Collection[str], n: int, d: int) -> np.ndarray:
         idx *= d
         idx += digits[:, j]
     return idx
-
-
-def index_of_string(digits: str, d: int) -> int:
-    """Big-endian index of a digit string, e.g. "100" -> 4 for d=2."""
-    return int(_digit_indices([digits], len(digits), d)[0])
 
 
 def state_from_counts(counts: dict[str, int], d: int) -> DenseState:

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 
 from .engine import (
+    STALL_EPS,
     TrainConfig,
     compute_projection_tensor,
     optimal_update,
@@ -38,7 +39,7 @@ def oracle_check(config: TrainConfig) -> list[str]:
     check_dense_guard(config.n, config.d)
     target = resolve_target(config.target, config.n, config.d)
     state = random_mps(config.n, config.d, config.chi, config.seed)
-    swept, records = sweep(state, target, config, 0)
+    swept, records = sweep(state, target, 0)
     schedule = sweep_schedule(config.n)
     mismatches: list[str] = []
     if len(records) != len(schedule):
@@ -54,7 +55,7 @@ def oracle_check(config: TrainConfig) -> list[str]:
                 f"site {site}: projection coefficients differ by {err:.3e}"
             )
         dense_proj, norm = project_onto_subspace_dense(target, basis)
-        updated, update_record = optimal_update(state, target, config.stall_eps)
+        updated, update_record = optimal_update(state, target)
         if not update_record.stalled:
             got = mps_to_dense(updated).amplitudes
             err = float(np.max(np.abs(got - dense_proj / norm)))
@@ -63,7 +64,7 @@ def oracle_check(config: TrainConfig) -> list[str]:
                     f"site {site}: updated state differs from "
                     f"normalized dense projection by {err:.3e}"
                 )
-        if norm > config.stall_eps:
+        if norm > STALL_EPS:
             sites = list(state.sites)
             sites[site] = (expected / norm).reshape(sites[site].shape)
             state = replace(state, sites=tuple(sites))

@@ -131,6 +131,23 @@ class TestRunCommand:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra, fragment", [
+        (["--sites", "31"], "size guard"),
+        (["--target", "counts:{tmp}/counts.json"], "size guard"),  # 31-digit key
+        (["--out", "{tmp}/file"], "output directory"),
+        (["--tol", "nan"], "--tol=nan"),
+    ])
+    def test_invalid_input_exit_2(self, tmp_path, capsys, extra, fragment):
+        (tmp_path / "counts.json").write_text(
+            json.dumps({"kind": "counts", "d": 2, "counts": {"0" * 31: 1}})
+        )
+        (tmp_path / "file").write_text("x")
+        code = run(tmp_path, *(arg.format(tmp=tmp_path) for arg in extra))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert err.count("\n") == 1
+
     def test_oracle_check_passes(self, tmp_path):
         assert run(tmp_path, "--oracle-check") == 0
 

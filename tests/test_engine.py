@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sphere_dmrg.engine import (
+    STALL_EPS,
     TrainConfig,
     compute_projection_tensor,
     optimal_update,
@@ -15,9 +16,9 @@ from sphere_dmrg.engine import (
     train,
 )
 from sphere_dmrg.errors import GaugeError, InputError
-from sphere_dmrg.mps import MPS, gauge_to, mps_to_dense, random_mps
+from sphere_dmrg.mps import MPS, gauge_to, mps_to_dense, overlap_dense, random_mps
 from sphere_dmrg.oracle import project_onto_subspace_dense, subspace_basis_dense
-from sphere_dmrg.target import named_state
+from sphere_dmrg.target import DenseState, named_state
 
 
 def fixed_site1_mps():
@@ -85,10 +86,22 @@ class TestOptimalUpdate:
     def test_stall_keeps_state_bitwise(self):
         state = fixed_site1_mps()
         target = named_state("basis:1", 2, 2)
-        new_state, rec = optimal_update(state, target, stall_eps=1e-14)
+        new_state, rec = optimal_update(state, target)
         assert rec.stalled
         assert new_state is state
         assert abs(rec.overlap) < 1e-14
+
+    def test_stalled_overlap_equals_dense_overlap(self):
+        # |00> sees the target only through its 1e-15 amplitude on |00>,
+        # a projection norm below STALL_EPS
+        state = fixed_site1_mps()
+        amps = np.array([1e-15, math.sqrt(1 - 1e-30), 0.0, 0.0])
+        target = DenseState(n=2, d=2, amplitudes=amps)
+        assert compute_projection_tensor(state, target).norm <= STALL_EPS
+        _, rec = optimal_update(state, target)
+        assert rec.stalled
+        assert math.isclose(rec.overlap, 1e-15, rel_tol=1e-9)
+        assert abs(rec.overlap - overlap_dense(state, target)) <= 1e-15
 
     def test_matches_normalized_dense_projection(self):
         for seed in range(5):
@@ -137,9 +150,8 @@ class TestSweep:
     def test_fixed_point(self):
         state = random_mps(4, 2, 2, seed=41)
         target = mps_to_dense(state)
-        cfg = TrainConfig(n=4, chi=2, seed=41)
         before = target.amplitudes
-        new_state, records = sweep(state, target, cfg, 0)
+        new_state, records = sweep(state, target, 0)
         for rec in records:
             assert abs(rec.overlap - 1.0) < 1e-10
         assert np.linalg.norm(mps_to_dense(new_state).amplitudes - before) < 1e-10
@@ -147,8 +159,7 @@ class TestSweep:
     def test_schedule_and_record_count(self):
         state = random_mps(4, 2, 2, seed=42)
         target = named_state("random", 4, 2, seed=43)
-        cfg = TrainConfig(n=4, chi=2, seed=42)
-        _, records = sweep(state, target, cfg, 3, step_offset=10)
+        _, records = sweep(state, target, 3, step_offset=10)
         assert len(records) == 7
         assert [r.site for r in records] == [0, 1, 2, 3, 2, 1, 0]
         assert [r.direction for r in records] == ["R"] * 4 + ["L"] * 3
@@ -158,19 +169,19 @@ class TestSweep:
     def test_single_site_chain(self):
         state = random_mps(1, 2, 1, seed=1)
         target = named_state("random", 1, 2, seed=2)
-        _, records = sweep(state, target, TrainConfig(n=1, chi=1), 0)
+        _, records = sweep(state, target, 0)
         assert len(records) == 1
 
     def test_requires_center_zero(self):
         state = gauge_to(random_mps(3, 2, 2, seed=0), 1)
         with pytest.raises(InputError):
-            sweep(state, named_state("uniform", 3, 2), TrainConfig(n=3), 0)
+            sweep(state, named_state("uniform", 3, 2), 0)
 
     def test_monotone_overlap(self):
         for seed in range(5):
             state = random_mps(5, 2, 2, seed=seed)
             target = named_state("random", 5, 2, seed=seed + 300)
-            _, records = sweep(state, target, TrainConfig(n=5, chi=2), 0)
+            _, records = sweep(state, target, 0)
             for a, b in zip(records, records[1:]):
                 if not (a.stalled or b.stalled):
                     assert b.overlap >= a.overlap - 1e-12
@@ -187,13 +198,12 @@ class TestSweepFold:
         for n, d, chi in itertools.product(range(1, 10), (2, 3), (1, 2, 3, 16)):
             start = random_mps(n, d, chi, seed=n + chi)
             target = named_state("random", n, d, seed=100 + n)
-            cfg = TrainConfig(n=n, d=d, chi=chi)
             state, replay = start, start
             for k in range(2):
-                state, records = sweep(state, target, cfg, k, step_offset=k * (2 * n - 1))
+                state, records = sweep(state, target, k, step_offset=k * (2 * n - 1))
                 for rec, (site, direction) in zip(records, sweep_schedule(n)):
                     replay, expected = optimal_update(
-                        gauge_to(replay, site), target, cfg.stall_eps,
+                        gauge_to(replay, site), target,
                         step=rec.step, sweep_index=k, direction=direction,
                     )
                     assert (rec.step, rec.sweep, rec.site, rec.direction, rec.stalled) == (
@@ -208,18 +218,36 @@ class TestSweepFold:
                 atol=1e-12,
             )
 
+    @staticmethod
+    def sweep_traced(state, target):
+        """``sweep``'s records and the peak bytes it allocates."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, records = sweep(state, target, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return records, peak - base
+
     def test_working_set_below_half_the_target(self):
         n, chi = 18, 8
         state = random_mps(n, 2, chi, seed=5)
         target = named_state("random", n, 2, seed=6)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            sweep(state, target, TrainConfig(n=n, chi=chi), 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base < target.amplitudes.nbytes / 2
+        _, peak = self.sweep_traced(state, target)
+        assert peak < target.amplitudes.nbytes / 2
+
+    def test_stalled_sweep_working_set_below_half_the_target(self):
+        # |0...0> against a basis state with sites 0 and 1 set: every
+        # single-site subspace is orthogonal to the target, so every step stalls
+        n = 18
+        zero = np.zeros((1, 2, 1))
+        zero[0, 0, 0] = 1.0
+        state = MPS(sites=(zero,) * n, center=0, d=2)
+        target = named_state(f"basis:{3 << (n - 2)}", n, 2)
+        records, peak = self.sweep_traced(state, target)
+        assert all(rec.stalled and rec.overlap == 0.0 for rec in records)
+        assert peak < target.amplitudes.nbytes / 2
 
     def test_gauge_violation_refused(self):
         state = random_mps(4, 2, 2, seed=1)
@@ -227,11 +255,11 @@ class TestSweepFold:
         sites[2] = sites[2] * 2.0
         broken = dataclasses.replace(state, sites=tuple(sites))
         with pytest.raises(GaugeError):
-            sweep(broken, named_state("uniform", 4, 2), TrainConfig(n=4), 0)
+            sweep(broken, named_state("uniform", 4, 2), 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            sweep(random_mps(3, 2, 2, seed=0), named_state("uniform", 4, 2), TrainConfig(n=3), 0)
+            sweep(random_mps(3, 2, 2, seed=0), named_state("uniform", 4, 2), 0)
 
 
 class TestTrain:
@@ -274,5 +302,7 @@ class TestTrain:
     def test_invalid_config_rejected_before_running(self):
         with pytest.raises(InputError):
             train(TrainConfig(n=3, chi=2, tol=-1.0))
+        with pytest.raises(InputError):
+            train(TrainConfig(n=3, chi=2, tol=math.nan))
         with pytest.raises(InputError):
             train(TrainConfig(n=3, chi=2, target="named:nope"))

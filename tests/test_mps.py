@@ -52,9 +52,9 @@ class TestRandomMPS:
 
     def test_bond_cap_formula(self):
         state = random_mps(4, 2, 8, seed=0)
-        assert state.bond_dims() == [2, 4, 2]
+        assert [c.shape[2] for c in state.sites[:-1]] == [2, 4, 2]
         state = random_mps(4, 2, 3, seed=0)
-        assert state.bond_dims() == [2, 3, 2]
+        assert [c.shape[2] for c in state.sites[:-1]] == [2, 3, 2]
 
     def test_deterministic(self):
         s1 = random_mps(4, 2, 3, seed=9)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sphere_dmrg.errors import InputError
 from sphere_dmrg.target import (
     DenseState,
-    index_of_string,
     load_target_file,
     named_state,
     resolve_target,
@@ -44,6 +43,11 @@ class TestStateFromCounts:
         np.testing.assert_allclose(
             state.amplitudes, [math.sqrt(3) / 2, 0.0, 0.0, 0.5], atol=1e-15
         )
+
+    def test_big_endian_index(self):
+        # site 0 is the most significant digit
+        assert np.flatnonzero(state_from_counts({"100": 1}, d=2).amplitudes).tolist() == [4]
+        assert np.flatnonzero(state_from_counts({"012": 1}, d=3).amplitudes).tolist() == [5]
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
@@ -133,12 +137,6 @@ class TestCountsEncoder:
     def test_error_names_first_bad_digit(self):
         with pytest.raises(InputError, match="digit 'a' out of range for d=2 in key '0a'"):
             state_from_counts({"00": 1, "0a": 1, "b0": 1}, d=2)
-
-
-class TestIndexOfString:
-    def test_big_endian(self):
-        assert index_of_string("100", 2) == 4
-        assert index_of_string("012", 3) == 5
 
 
 class TestNamedState:
