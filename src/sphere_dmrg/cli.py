@@ -75,12 +75,12 @@ def config_from_args(args) -> TrainConfig:
         config.validate()
     except InputError as exc:
         flags = {
-            "n": "--sites", "d": "--phys-dim", "chi": "--bond-dim",
+            "n": "--sites", "d": "--phys-dim", "chi": "--bond-dim", "seed": "--seed",
             "max_sweeps": "--max-sweeps", "tol": "--tol",
         }
         msg = str(exc)
         for field, flag in flags.items():
-            msg = msg.replace(f"{field}=", f"{flag}=")
+            msg = msg.replace(f"got {field}=", f"got {flag}=")
         raise InputError(msg) from exc
     return config
 

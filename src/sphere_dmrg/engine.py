@@ -15,10 +15,13 @@ them, shape (chi, d**(n-i)), once i >= m. The right environment mirrors
 this: the dense block of the cores i+1..n-1 while i >= m, the folded
 target while i < m. Passing the middle bond is the one matmul that reads
 the whole target; every other step is one small matmul through one core.
-A sweep carries its environments along, so it reads the target three
-times (the right fold at its start, then one crossing in each direction)
-and holds O(chi * d**(ceil(n/2) + 1)) numbers besides the target, instead
-of rebuilding target-sized blocks at every update.
+A sweep carries its environments along, so it holds
+O(chi * d**(ceil(n/2) + 1)) numbers besides the target instead of
+rebuilding target-sized blocks at every update. It ends with the center at
+site 0 and every right environment of its final state built, which the
+next sweep reuses in place of its opening right fold. So the first sweep
+of a run reads the target three times (the right fold at its start, then
+one crossing in each direction) and every later sweep reads it twice.
 
 An update whose projection norm is at or below ``STALL_EPS`` stalls: it
 keeps the state and records the overlap the state already has, which lies
@@ -41,8 +44,9 @@ from .mps import (
     left_defect,
     random_mps,
     right_defect,
-    shift_center,
+    shift_cores,
 )
+from .mps import shift_center  # noqa: F401  (perfbench/layers.py wraps engine.shift_center)
 from .target import DenseState, resolve_target
 from .tensor import contract  # noqa: F401  (perfbench/layers.py wraps engine.contract)
 
@@ -89,6 +93,8 @@ class TrainConfig:
             raise InputError(f"d must be >= 2, got d={self.d}")
         if self.chi < 1:
             raise InputError(f"chi must be >= 1, got chi={self.chi}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got seed={self.seed}")
         if self.max_sweeps < 1:
             raise InputError(f"max_sweeps must be >= 1, got max_sweeps={self.max_sweeps}")
         # written so that NaN fails too
@@ -147,7 +153,9 @@ def _projection(left: np.ndarray, right: np.ndarray, i: int, m: int, shape) -> P
         coeffs = (left.T @ right.reshape(left.shape[0], d * r)).reshape(l, d, r)
     else:
         coeffs = (left.reshape(l * d, -1) @ right.T).reshape(l, d, r)
-    return ProjectionTensor(coeffs=coeffs, norm=float(np.linalg.norm(coeffs)))
+    flat = coeffs.reshape(-1)
+    # the value np.linalg.norm computes, without its dispatch overhead
+    return ProjectionTensor(coeffs=coeffs, norm=math.sqrt(flat @ flat))
 
 
 def compute_projection_tensor(state: MPS, target: DenseState) -> ProjectionTensor:
@@ -169,37 +177,34 @@ def compute_projection_tensor(state: MPS, target: DenseState) -> ProjectionTenso
 
 
 def _closest_point(
-    state: MPS,
+    cores: list[np.ndarray],
+    site: int,
     proj: ProjectionTensor,
     *,
     step: int,
     sweep_index: int,
     direction: str,
-) -> tuple[MPS, MetricRecord]:
-    """Replace the center with the normalized projection and record the step."""
+) -> MetricRecord:
+    """Set the center ``cores[site]`` to the normalized projection and record the step."""
     if proj.norm <= STALL_EPS:
         # the state lies in the subspace, so its overlap is its center's
         # inner product with the projection coefficients
-        overlap = float(np.vdot(state.sites[state.center], proj.coeffs))
+        overlap = float(np.vdot(cores[site], proj.coeffs))
         stalled = True
-        new_state = state
     else:
-        sites = list(state.sites)
-        sites[state.center] = proj.coeffs / proj.norm
-        new_state = replace(state, sites=tuple(sites))
+        cores[site] = proj.coeffs / proj.norm
         overlap = proj.norm
         stalled = False
-    record = MetricRecord(
+    return MetricRecord(
         step=step,
         sweep=sweep_index,
-        site=state.center,
+        site=site,
         direction=direction,
         overlap=overlap,
         angle=math.acos(max(-1.0, min(1.0, overlap))),
         distance=math.sqrt(max(0.0, 2.0 - 2.0 * overlap)),
         stalled=stalled,
     )
-    return new_state, record
 
 
 def optimal_update(
@@ -220,9 +225,26 @@ def optimal_update(
     projection coefficients, with no further read of the target.
     """
     proj = compute_projection_tensor(state, target)
-    return _closest_point(
-        state, proj, step=step, sweep_index=sweep_index, direction=direction
+    sites = list(state.sites)
+    record = _closest_point(
+        sites, state.center, proj, step=step, sweep_index=sweep_index, direction=direction
     )
+    if record.stalled:
+        return state, record
+    return replace(state, sites=tuple(sites)), record
+
+
+@dataclass(frozen=True)
+class SweepCarry:
+    """The right environments of ``state`` against ``target``.
+
+    ``sweep`` returns one for the state it returns; handed back with that
+    very state and target, it replaces the next sweep's opening right fold.
+    """
+
+    state: MPS
+    target: DenseState
+    right: tuple[np.ndarray, ...]
 
 
 def sweep(
@@ -230,43 +252,53 @@ def sweep(
     target: DenseState,
     sweep_index: int,
     step_offset: int = 0,
-) -> tuple[MPS, list[MetricRecord]]:
+    carry: SweepCarry | None = None,
+) -> tuple[MPS, list[MetricRecord], SweepCarry]:
     """One full sweep of ``optimal_update`` steps over ``sweep_schedule(n)``.
 
-    Emits 2n-1 records (1 for n=1) and returns with the center at site 0.
-    The environments are carried from step to step (see the module
-    docstring). The whole gauge is checked once at the start; after that
-    only the isometry each gauge shift produces can change, and it is
-    checked right after its shift.
+    Emits 2n-1 records (1 for n=1) and returns with the center at site 0,
+    together with the right environments of the returned state. The
+    environments are carried from step to step (see the module docstring).
+    ``carry`` is used only if its state and target are the very objects
+    passed here, as ``train`` passes them; the sweep then reads the target
+    twice. Otherwise it folds the right environments from the chain end
+    first and reads the target three times. The whole gauge is checked
+    once at the start; after that only the isometry each gauge shift
+    produces can change, and it is checked right after its shift.
     """
     if state.center != 0:
         raise InputError(f"sweep requires center 0, got {state.center}")
     _check_dims(state, target)
     check_gauge(state)
     n, m, t = state.n, state.n // 2, target.amplitudes
+    cores = list(state.sites)
     # left[i] / right[i]: the environments of site i (see the module docstring)
     left = [_left_start(m, t)] + [None] * (n - 1)
-    right = [None] * (n - 1) + [np.ones((1, 1))]
-    for i in range(n - 1, 0, -1):
-        right[i - 1] = _right_env(right[i], state.sites[i], i, m, t)
+    if carry is not None and carry.state is state and carry.target is target:
+        right = list(carry.right)
+    else:
+        right = [None] * (n - 1) + [np.ones((1, 1))]
+        for i in range(n - 1, 0, -1):
+            right[i - 1] = _right_env(right[i], cores[i], i, m, t)
     records: list[MetricRecord] = []
     for k, (site, direction) in enumerate(sweep_schedule(n)):
         if direction == "R" and site > 0:
-            state = shift_center(state, "right")
-            core = state.sites[site - 1]
+            shift_cores(cores, site - 1, "right")
+            core = cores[site - 1]
             check_isometry(left_defect(core), f" at site {site - 1}")
             left[site] = _left_env(left[site - 1], core, site - 1, m, t)
         elif direction == "L":
-            state = shift_center(state, "left")
-            core = state.sites[site + 1]
+            shift_cores(cores, site + 1, "left")
+            core = cores[site + 1]
             check_isometry(right_defect(core), f" at site {site + 1}")
             right[site] = _right_env(right[site + 1], core, site + 1, m, t)
-        proj = _projection(left[site], right[site], site, m, state.sites[site].shape)
-        state, record = _closest_point(
-            state, proj, step=step_offset + k, sweep_index=sweep_index, direction=direction
-        )
-        records.append(record)
-    return state, records
+        proj = _projection(left[site], right[site], site, m, cores[site].shape)
+        records.append(_closest_point(
+            cores, site, proj, step=step_offset + k, sweep_index=sweep_index,
+            direction=direction,
+        ))
+    state = MPS(sites=tuple(cores), center=0, d=state.d)
+    return state, records, SweepCarry(state=state, target=target, right=tuple(right))
 
 
 def train(config: TrainConfig) -> tuple[MPS, list[MetricRecord], str]:
@@ -281,8 +313,9 @@ def train(config: TrainConfig) -> tuple[MPS, list[MetricRecord], str]:
     trajectory: list[MetricRecord] = []
     reason = "sweep-limit"
     prev_last = None
+    carry = None
     for k in range(config.max_sweeps):
-        state, records = sweep(state, target, k, step_offset=len(trajectory))
+        state, records, carry = sweep(state, target, k, len(trajectory), carry)
         trajectory.extend(records)
         last = records[-1].overlap
         if prev_last is not None and abs(last - prev_last) < config.tol:

@@ -53,18 +53,24 @@ def _validate_chain(sites) -> None:
             )
 
 
+def _identity_defect(gram: np.ndarray) -> float:
+    """Largest entry of |gram - I|, computed in place in ``gram``."""
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return float(np.max(np.abs(gram, out=gram)))
+
+
 def left_defect(core: np.ndarray) -> float:
     """Deviation of a core from the left-isometry condition."""
     l, d, r = core.shape
     m = core.reshape(l * d, r)
-    return float(np.max(np.abs(m.T @ m - np.eye(r))))
+    return _identity_defect(m.T @ m)
 
 
 def right_defect(core: np.ndarray) -> float:
     """Deviation of a core from the right-isometry condition."""
     l, d, r = core.shape
     m = core.reshape(l, d * r)
-    return float(np.max(np.abs(m @ m.T - np.eye(l))))
+    return _identity_defect(m @ m.T)
 
 
 def gauge_defect(state: MPS) -> float:
@@ -108,35 +114,39 @@ def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
     return MPS(sites=tuple(sites), center=0, d=d)
 
 
-def shift_center(state: MPS, direction: str) -> MPS:
-    """Move the center one site left or right without changing the state.
+def shift_cores(cores: list[np.ndarray], j: int, direction: str) -> int:
+    """Move the center of ``cores`` from site j one site left or right, in place.
 
-    The QR is not rank-checked: when the state's Schmidt rank at the bond
-    is below the bond dimension, the factor is still an isometry and the
-    move is still exact.
+    Returns the new center; the represented state does not change. The QR
+    is not rank-checked: when the state's Schmidt rank at the bond is below
+    the bond dimension, the factor is still an isometry and the move is
+    still exact.
     """
-    j = state.center
-    d = state.d
-    sites = list(state.sites)
+    l, d, r = cores[j].shape
     if direction == "right":
-        if j == state.n - 1:
+        if j == len(cores) - 1:
             raise BoundaryError("cannot shift right at the last site")
-        l, _, r = sites[j].shape
-        q, t = qr_sign_fixed(sites[j].reshape(l * d, r))
-        sites[j] = q.reshape(l, d, r)
-        nxt = sites[j + 1]
-        sites[j + 1] = (t @ nxt.reshape(r, -1)).reshape(nxt.shape)
-        return replace(state, sites=tuple(sites), center=j + 1)
+        q, t = qr_sign_fixed(cores[j].reshape(l * d, r))
+        cores[j] = q.reshape(l, d, r)
+        nxt = cores[j + 1]
+        cores[j + 1] = (t @ nxt.reshape(r, -1)).reshape(nxt.shape)
+        return j + 1
     if direction == "left":
         if j == 0:
             raise BoundaryError("cannot shift left at site 0")
-        l, _, r = sites[j].shape
-        q, t = qr_sign_fixed(sites[j].reshape(l, d * r).T)
-        sites[j] = q.T.reshape(l, d, r)
-        prev = sites[j - 1]
-        sites[j - 1] = (prev.reshape(-1, l) @ t.T).reshape(prev.shape)
-        return replace(state, sites=tuple(sites), center=j - 1)
+        q, t = qr_sign_fixed(cores[j].reshape(l, d * r).T)
+        cores[j] = q.T.reshape(l, d, r)
+        prev = cores[j - 1]
+        cores[j - 1] = (prev.reshape(-1, l) @ t.T).reshape(prev.shape)
+        return j - 1
     raise InputError(f"direction must be 'left' or 'right', got {direction!r}")
+
+
+def shift_center(state: MPS, direction: str) -> MPS:
+    """Move the center one site left or right without changing the state."""
+    sites = list(state.sites)
+    center = shift_cores(sites, state.center, direction)
+    return replace(state, sites=tuple(sites), center=center)
 
 
 def gauge_to(state: MPS, center: int) -> MPS:

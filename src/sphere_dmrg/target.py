@@ -162,6 +162,8 @@ def named_state(name: str, n: int, d: int, seed: int | None = None) -> DenseStat
     elif name == "random":
         if seed is None:
             raise InputError("random target requires a seed")
+        if seed < 0:
+            raise InputError(f"random target seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal(dim)
         amps /= np.linalg.norm(amps)

@@ -75,7 +75,9 @@ def qr_sign_fixed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ContractShapeError(f"need rows >= cols, got shape {m.shape}")
     q, t = np.linalg.qr(m)
     signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
-    return q * signs, t * signs[:, None]
+    q *= signs
+    t *= signs[:, None]
+    return q, t
 
 
 def qr_orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

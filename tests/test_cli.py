@@ -136,6 +136,8 @@ class TestRunCommand:
         (["--target", "counts:{tmp}/counts.json"], "size guard"),  # 31-digit key
         (["--out", "{tmp}/file"], "output directory"),
         (["--tol", "nan"], "--tol=nan"),
+        (["--seed", "-1"], "--seed=-1"),
+        (["--target", "named:random:-3"], "seed must be >= 0, got -3"),
     ])
     def test_invalid_input_exit_2(self, tmp_path, capsys, extra, fragment):
         (tmp_path / "counts.json").write_text(

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sphere_dmrg import engine
 from sphere_dmrg.engine import (
     STALL_EPS,
     TrainConfig,
@@ -151,7 +152,7 @@ class TestSweep:
         state = random_mps(4, 2, 2, seed=41)
         target = mps_to_dense(state)
         before = target.amplitudes
-        new_state, records = sweep(state, target, 0)
+        new_state, records, _ = sweep(state, target, 0)
         for rec in records:
             assert abs(rec.overlap - 1.0) < 1e-10
         assert np.linalg.norm(mps_to_dense(new_state).amplitudes - before) < 1e-10
@@ -159,7 +160,7 @@ class TestSweep:
     def test_schedule_and_record_count(self):
         state = random_mps(4, 2, 2, seed=42)
         target = named_state("random", 4, 2, seed=43)
-        _, records = sweep(state, target, 3, step_offset=10)
+        _, records, _ = sweep(state, target, 3, step_offset=10)
         assert len(records) == 7
         assert [r.site for r in records] == [0, 1, 2, 3, 2, 1, 0]
         assert [r.direction for r in records] == ["R"] * 4 + ["L"] * 3
@@ -169,7 +170,7 @@ class TestSweep:
     def test_single_site_chain(self):
         state = random_mps(1, 2, 1, seed=1)
         target = named_state("random", 1, 2, seed=2)
-        _, records = sweep(state, target, 0)
+        _, records, _ = sweep(state, target, 0)
         assert len(records) == 1
 
     def test_requires_center_zero(self):
@@ -181,7 +182,7 @@ class TestSweep:
         for seed in range(5):
             state = random_mps(5, 2, 2, seed=seed)
             target = named_state("random", 5, 2, seed=seed + 300)
-            _, records = sweep(state, target, 0)
+            _, records, _ = sweep(state, target, 0)
             for a, b in zip(records, records[1:]):
                 if not (a.stalled or b.stalled):
                     assert b.overlap >= a.overlap - 1e-12
@@ -200,7 +201,7 @@ class TestSweepFold:
             target = named_state("random", n, d, seed=100 + n)
             state, replay = start, start
             for k in range(2):
-                state, records = sweep(state, target, k, step_offset=k * (2 * n - 1))
+                state, records, _ = sweep(state, target, k, step_offset=k * (2 * n - 1))
                 for rec, (site, direction) in zip(records, sweep_schedule(n)):
                     replay, expected = optimal_update(
                         gauge_to(replay, site), target,
@@ -224,7 +225,7 @@ class TestSweepFold:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _, records = sweep(state, target, 0)
+            _, records, _ = sweep(state, target, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -260,6 +261,66 @@ class TestSweepFold:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             sweep(random_mps(3, 2, 2, seed=0), named_state("uniform", 4, 2), 0)
+
+
+def assert_same_sweep(a, b):
+    """Two ``sweep`` results have bit-equal records and final cores."""
+    (state_a, records_a, _), (state_b, records_b, _) = a, b
+    assert records_a == records_b
+    assert [c.tobytes() for c in state_a.sites] == [c.tobytes() for c in state_b.sites]
+
+
+class TestSweepCarry:
+    """``sweep`` reuses the right environments of the state it returned."""
+
+    def test_carried_sweep_matches_fresh(self):
+        for n, d, chi in itertools.product(range(1, 10), (2, 3), (1, 2, 3, 16)):
+            target = named_state("random", n, d, seed=100 + n)
+            state, records, carry = sweep(random_mps(n, d, chi, seed=n + chi), target, 0)
+            carried = sweep(state, target, 1, len(records), carry)
+            fresh = sweep(state, target, 1, len(records))
+            assert_same_sweep(carried, fresh)
+            assert [e.tobytes() for e in carried[2].right] == [
+                e.tobytes() for e in fresh[2].right
+            ], (n, d, chi)
+
+    def test_foreign_carry_ignored(self):
+        n, d, chi = 6, 2, 2
+        target = named_state("random", n, d, seed=7)
+        other_target = named_state("random", n, d, seed=8)
+        state, _, carry = sweep(random_mps(n, d, chi, seed=1), target, 0)
+        _, _, other_carry = sweep(random_mps(n, d, chi, seed=2), target, 0)
+        # a carry built for another state, or for another target
+        assert_same_sweep(sweep(state, target, 1, 0, other_carry), sweep(state, target, 1))
+        assert_same_sweep(
+            sweep(state, other_target, 1, 0, carry), sweep(state, other_target, 1)
+        )
+
+    def test_train_reads_the_target_twice_per_later_sweep(self, monkeypatch):
+        """Crossing the middle bond is the one step that reads the whole target."""
+        crossings = []
+        left_env, right_env, sweep_fn = engine._left_env, engine._right_env, engine.sweep
+
+        def counted_left(env, core, i, m, t):
+            crossings[-1] += i + 1 == m
+            return left_env(env, core, i, m, t)
+
+        def counted_right(env, core, i, m, t):
+            crossings[-1] += i == m
+            return right_env(env, core, i, m, t)
+
+        def counted_sweep(*args, **kwargs):
+            crossings.append(0)
+            return sweep_fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_left_env", counted_left)
+        monkeypatch.setattr(engine, "_right_env", counted_right)
+        monkeypatch.setattr(engine, "sweep", counted_sweep)
+        for n in (3, 5, 8):
+            crossings.clear()
+            train(TrainConfig(n=n, chi=1, seed=1, target="named:random:3",
+                              max_sweeps=4, tol=1e-30))
+            assert crossings == [3, 2, 2, 2], n
 
 
 class TestTrain:
