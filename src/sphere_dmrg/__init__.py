@@ -1,50 +1,2 @@
 """Exact single-site DMRG: fit an MPS to a dense unit vector by
 alternating closest-point projection on the unit sphere."""
-
-from .engine import (
-    MetricRecord,
-    ProjectionTensor,
-    TrainConfig,
-    compute_projection_tensor,
-    optimal_update,
-    sweep,
-    train,
-)
-from .mps import (
-    MPS,
-    mps_from_json_dict,
-    mps_to_dense,
-    mps_to_json_dict,
-    overlap_dense,
-    random_mps,
-    shift_center,
-)
-from .oracle import SubspaceBasis, project_onto_subspace_dense, subspace_basis_dense
-from .target import DenseState, named_state, resolve_target, state_from_counts
-from .tensor import contract, qr_orthonormalize
-
-__all__ = [
-    "MPS",
-    "DenseState",
-    "MetricRecord",
-    "ProjectionTensor",
-    "SubspaceBasis",
-    "TrainConfig",
-    "compute_projection_tensor",
-    "contract",
-    "mps_from_json_dict",
-    "mps_to_dense",
-    "mps_to_json_dict",
-    "named_state",
-    "optimal_update",
-    "overlap_dense",
-    "project_onto_subspace_dense",
-    "qr_orthonormalize",
-    "random_mps",
-    "resolve_target",
-    "shift_center",
-    "state_from_counts",
-    "subspace_basis_dense",
-    "sweep",
-    "train",
-]

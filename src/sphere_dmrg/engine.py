@@ -180,7 +180,6 @@ def _closest_point(
     cores: list[np.ndarray],
     site: int,
     proj: ProjectionTensor,
-    *,
     step: int,
     sweep_index: int,
     direction: str,
@@ -207,14 +206,7 @@ def _closest_point(
     )
 
 
-def optimal_update(
-    state: MPS,
-    target: DenseState,
-    *,
-    step: int = 0,
-    sweep_index: int = 0,
-    direction: str = "R",
-) -> tuple[MPS, MetricRecord]:
+def optimal_update(state: MPS, target: DenseState) -> tuple[MPS, MetricRecord]:
     """Replace the center core with the closest-point solution.
 
     The new center is the normalized projection tensor, so the updated
@@ -222,13 +214,12 @@ def optimal_update(
     target and its overlap equals the projection norm. If the projection
     norm is at or below ``STALL_EPS`` the state is returned unchanged, the
     record is flagged as stalled and its overlap is taken from the
-    projection coefficients, with no further read of the target.
+    projection coefficients, with no further read of the target. The
+    record is numbered as step 0 of sweep 0, direction "R".
     """
     proj = compute_projection_tensor(state, target)
     sites = list(state.sites)
-    record = _closest_point(
-        sites, state.center, proj, step=step, sweep_index=sweep_index, direction=direction
-    )
+    record = _closest_point(sites, state.center, proj, 0, 0, "R")
     if record.stalled:
         return state, record
     return replace(state, sites=tuple(sites)), record
@@ -251,13 +242,13 @@ def sweep(
     state: MPS,
     target: DenseState,
     sweep_index: int,
-    step_offset: int = 0,
     carry: SweepCarry | None = None,
 ) -> tuple[MPS, list[MetricRecord], SweepCarry]:
     """One full sweep of ``optimal_update`` steps over ``sweep_schedule(n)``.
 
     Emits 2n-1 records (1 for n=1) and returns with the center at site 0,
-    together with the right environments of the returned state. The
+    together with the right environments of the returned state. Record k
+    of the sweep is step ``sweep_index * (2n-1) + k`` of the run. The
     environments are carried from step to step (see the module docstring).
     ``carry`` is used only if its state and target are the very objects
     passed here, as ``train`` passes them; the sweep then reads the target
@@ -280,8 +271,9 @@ def sweep(
         right = [None] * (n - 1) + [np.ones((1, 1))]
         for i in range(n - 1, 0, -1):
             right[i - 1] = _right_env(right[i], cores[i], i, m, t)
+    schedule = sweep_schedule(n)
     records: list[MetricRecord] = []
-    for k, (site, direction) in enumerate(sweep_schedule(n)):
+    for k, (site, direction) in enumerate(schedule, start=sweep_index * len(schedule)):
         if direction == "R" and site > 0:
             shift_cores(cores, site - 1, "right")
             core = cores[site - 1]
@@ -293,10 +285,7 @@ def sweep(
             check_isometry(right_defect(core), f" at site {site + 1}")
             right[site] = _right_env(right[site + 1], core, site + 1, m, t)
         proj = _projection(left[site], right[site], site, m, cores[site].shape)
-        records.append(_closest_point(
-            cores, site, proj, step=step_offset + k, sweep_index=sweep_index,
-            direction=direction,
-        ))
+        records.append(_closest_point(cores, site, proj, k, sweep_index, direction))
     state = MPS(sites=tuple(cores), center=0, d=state.d)
     return state, records, SweepCarry(state=state, target=target, right=tuple(right))
 
@@ -315,7 +304,7 @@ def train(config: TrainConfig) -> tuple[MPS, list[MetricRecord], str]:
     prev_last = None
     carry = None
     for k in range(config.max_sweeps):
-        state, records, carry = sweep(state, target, k, len(trajectory), carry)
+        state, records, carry = sweep(state, target, k, carry)
         trajectory.extend(records)
         last = records[-1].overlap
         if prev_last is not None and abs(last - prev_last) < config.tol:

@@ -6,18 +6,7 @@ class SphereDMRGError(Exception):
 
 
 class ContractShapeError(SphereDMRGError):
-    """Axis lists or axis lengths are incompatible for a contraction."""
-
-
-class RankDeficiencyError(SphereDMRGError):
-    """A QR factor has a numerically zero diagonal entry."""
-
-    def __init__(self, column: int, value: float):
-        self.column = column
-        self.value = value
-        super().__init__(
-            f"rank-deficient matrix: |R[{column},{column}]| = {abs(value):.3e} < 1e-14"
-        )
+    """Operand shapes or axis lists do not fit a contraction or a QR."""
 
 
 class InputError(SphereDMRGError):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BoundaryError, GaugeError, InputError
-from .target import DenseState, check_dense_guard
-from .tensor import contract, qr_orthonormalize, qr_sign_fixed
+from .target import DenseState, check_dense_guard, number_array
+from .tensor import contract, qr_orthonormalize
 
 #: largest isometry defect a non-center core may have
 GAUGE_TOL = 1e-8
@@ -105,10 +105,7 @@ def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
     sites = [rng.standard_normal((dims[j], d, dims[j + 1])) for j in range(n)]
     # right-canonicalize down to site 0, then normalize the center
     for j in range(n - 1, 0, -1):
-        l, _, r = sites[j].shape
-        q, t = qr_orthonormalize(sites[j].reshape(l, d * r).T)
-        sites[j] = q.T.reshape(l, d, r)
-        sites[j - 1] = contract(sites[j - 1], [2], t, [1])
+        shift_cores(sites, j, "left")
     sites[0] = sites[0] / np.linalg.norm(sites[0])
     _validate_chain(sites)
     return MPS(sites=tuple(sites), center=0, d=d)
@@ -126,7 +123,7 @@ def shift_cores(cores: list[np.ndarray], j: int, direction: str) -> int:
     if direction == "right":
         if j == len(cores) - 1:
             raise BoundaryError("cannot shift right at the last site")
-        q, t = qr_sign_fixed(cores[j].reshape(l * d, r))
+        q, t = qr_orthonormalize(cores[j].reshape(l * d, r))
         cores[j] = q.reshape(l, d, r)
         nxt = cores[j + 1]
         cores[j + 1] = (t @ nxt.reshape(r, -1)).reshape(nxt.shape)
@@ -134,7 +131,7 @@ def shift_cores(cores: list[np.ndarray], j: int, direction: str) -> int:
     if direction == "left":
         if j == 0:
             raise BoundaryError("cannot shift left at site 0")
-        q, t = qr_sign_fixed(cores[j].reshape(l, d * r).T)
+        q, t = qr_orthonormalize(cores[j].reshape(l, d * r).T)
         cores[j] = q.T.reshape(l, d, r)
         prev = cores[j - 1]
         cores[j - 1] = (prev.reshape(-1, l) @ t.T).reshape(prev.shape)
@@ -211,15 +208,19 @@ def mps_to_json_dict(state: MPS) -> dict:
 def mps_from_json_dict(doc: dict) -> MPS:
     """Rebuild an MPS from ``mps_to_json_dict`` output; InputError if malformed."""
     try:
-        n, d, center = int(doc["n"]), int(doc["d"]), int(doc["center"])
-        cores = [(tuple(entry["shape"]), np.asarray(entry["data"], dtype=np.float64))
-                 for entry in doc["tensors"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, d, center = doc["n"], doc["d"], doc["center"]
+        cores = [(tuple(entry["shape"]), entry["data"]) for entry in doc["tensors"]]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"malformed MPS document: {exc!r}") from exc
+    for value in (n, d, center, *(v for shape, _ in cores for v in shape)):
+        # bools are ints to Python, but not sizes
+        if type(value) is not int:
+            raise InputError(f"MPS sizes must be integers, got {value!r}")
     sites = []
     for j, (shape, data) in enumerate(cores):
         if len(shape) != 3 or shape[1] != d or min(shape) < 1:
             raise InputError(f"core {j} has shape {shape}, expected (left, {d}, right)")
+        data = number_array(data, f"data of core {j}")
         if data.shape != (math.prod(shape),):
             raise InputError(f"core {j} has {data.size} values for shape {shape}")
         if not np.isfinite(data).all():

@@ -108,7 +108,10 @@ def state_from_counts(counts: dict[str, int], d: int) -> DenseState:
         if kind is bool or not issubclass(kind, numbers.Real):
             key, c = next((k, c) for k, c in counts.items() if type(c) is kind)
             raise InputError(f"count for key {key!r} must be a number, got {c!r}")
-    weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    try:
+        weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    except OverflowError:
+        raise InputError("a count is an integer too large for a float64") from None
     # a NaN count fails the first comparison
     if not (weights.min() > 0 and weights.max() < math.inf):
         key, c = next((k, c) for k, c in counts.items() if not 0 < c < math.inf)
@@ -172,6 +175,24 @@ def named_state(name: str, n: int, d: int, seed: int | None = None) -> DenseStat
     return DenseState(n=n, d=d, amplitudes=amps)
 
 
+def number_array(values, what: str) -> np.ndarray:
+    """float64 array of a JSON list of numbers; InputError for anything else.
+
+    Bools, strings and nested lists are refused, not converted, as counts
+    are; so is an integer too large for a float64.
+    """
+    if not isinstance(values, list):
+        raise InputError(f"{what} must be a list of numbers, got {values!r:.40}")
+    for kind in set(map(type, values)):
+        if kind is bool or not issubclass(kind, numbers.Real):
+            bad = next(v for v in values if type(v) is kind)
+            raise InputError(f"{what} must hold only numbers, got {bad!r:.40}")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise InputError(f"{what} holds an integer too large for a float64") from None
+
+
 def _int_field(doc: dict, name: str, path: str) -> int:
     value = doc.get(name)
     if type(value) is not int:
@@ -200,10 +221,7 @@ def load_target_file(path: str, n: int, d: int, kind: str | None = None) -> Dens
             raise InputError(f"field 'counts' in {path} must be an object")
         state = state_from_counts(counts, d=_int_field(doc, "d", path))
     elif file_kind == "amplitudes":
-        try:
-            amps = np.asarray(doc.get("amplitudes"), dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"field 'amplitudes' in {path}: {exc}") from exc
+        amps = number_array(doc.get("amplitudes"), f"field 'amplitudes' in {path}")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-6:
             raise InputError(f"amplitudes in {path} have norm {norm!r}")

@@ -1,7 +1,8 @@
-"""Dense tensor kernel: shape-checked contraction and sign-fixed QR.
+"""Dense tensor kernel: sign-fixed QR and shape-checked contraction.
 
-These two primitives are the only numerics the rest of the package needs.
-Tensors are plain float64 numpy arrays in row-major (C) order.
+The QR is behind every gauge move; the contraction serves only dense
+conversion and the overlap. Tensors are plain float64 numpy arrays in
+row-major (C) order.
 """
 
 from __future__ import annotations
@@ -10,11 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractShapeError, RankDeficiencyError
-
-# diagonal entries of R below this (in magnitude) are treated as rank
-# deficiency by qr_orthonormalize
-RANK_TOL = 1e-14
+from .errors import ContractShapeError
 
 
 def _validate_axes(shape: tuple[int, ...], axes: Sequence[int], label: str) -> None:
@@ -57,7 +54,7 @@ def contract(
     return np.tensordot(a, b, axes=(list(axes_a), list(axes_b)))
 
 
-def qr_sign_fixed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def qr_orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR with the diagonal of R forced non-negative, no rank check.
 
     Returns (q, t) with q.T @ q = I, q @ t = m, and t upper-triangular
@@ -77,19 +74,4 @@ def qr_sign_fixed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
     q *= signs
     t *= signs[:, None]
-    return q, t
-
-
-def qr_orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``qr_sign_fixed`` that also refuses rank-deficient input.
-
-    Raises RankDeficiencyError naming the first column whose diagonal
-    entry of R is below RANK_TOL in magnitude.
-    """
-    q, t = qr_sign_fixed(m)
-    diag = np.diagonal(t)
-    small = diag < RANK_TOL
-    if small.any():
-        col = int(np.argmax(small))
-        raise RankDeficiencyError(column=col, value=float(diag[col]))
     return q, t

@@ -41,7 +41,7 @@ def oracle_check(config: TrainConfig) -> list[str]:
     target = resolve_target(config.target, config.n, config.d)
     state = random_mps(config.n, config.d, config.chi, config.seed)
     swept, records, carry = sweep(state, target, 0)
-    swept, more, _ = sweep(swept, target, 1, len(records), carry)
+    swept, more, _ = sweep(swept, target, 1, carry)
     records += more
     schedule = sweep_schedule(config.n) * 2
     mismatches: list[str] = []

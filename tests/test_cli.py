@@ -116,6 +116,7 @@ class TestRunCommand:
         "counts:{tmp}/no_d.json",
         "counts:{tmp}/string_count.json",
         "counts:{tmp}/bad_digit.json",
+        "file:{tmp}/bool_amplitudes.json",
     ])
     def test_malformed_target_exit_2(self, tmp_path, capsys, spec):
         (tmp_path / "truncated.json").write_text('{"kind": "counts", "d": 2, "cou')
@@ -123,6 +124,8 @@ class TestRunCommand:
             ("no_d", {"kind": "counts", "counts": {"000": 1}}),
             ("string_count", {"kind": "counts", "d": 2, "counts": {"000": "3"}}),
             ("bad_digit", {"kind": "counts", "d": 2, "counts": {"0a0": 1}}),
+            ("bool_amplitudes", {"kind": "amplitudes", "n": 3, "d": 2,
+                                 "amplitudes": [True] + [False] * 7}),
         ]:
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         code = run(tmp_path, "--target", spec.format(tmp=tmp_path))

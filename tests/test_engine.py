@@ -160,11 +160,12 @@ class TestSweep:
     def test_schedule_and_record_count(self):
         state = random_mps(4, 2, 2, seed=42)
         target = named_state("random", 4, 2, seed=43)
-        _, records, _ = sweep(state, target, 3, step_offset=10)
+        _, records, _ = sweep(state, target, 3)
         assert len(records) == 7
         assert [r.site for r in records] == [0, 1, 2, 3, 2, 1, 0]
         assert [r.direction for r in records] == ["R"] * 4 + ["L"] * 3
-        assert [r.step for r in records] == list(range(10, 17))
+        # sweeps 0-2 emitted steps 0-20
+        assert [r.step for r in records] == list(range(21, 28))
         assert all(r.sweep == 3 for r in records)
 
     def test_single_site_chain(self):
@@ -200,19 +201,16 @@ class TestSweepFold:
             start = random_mps(n, d, chi, seed=n + chi)
             target = named_state("random", n, d, seed=100 + n)
             state, replay = start, start
+            schedule = sweep_schedule(n)
             for k in range(2):
-                state, records, _ = sweep(state, target, k, step_offset=k * (2 * n - 1))
-                for rec, (site, direction) in zip(records, sweep_schedule(n)):
-                    replay, expected = optimal_update(
-                        gauge_to(replay, site), target,
-                        step=rec.step, sweep_index=k, direction=direction,
-                    )
+                state, records, _ = sweep(state, target, k)
+                for j, (rec, (site, direction)) in enumerate(zip(records, schedule)):
+                    replay, expected = optimal_update(gauge_to(replay, site), target)
                     assert (rec.step, rec.sweep, rec.site, rec.direction, rec.stalled) == (
-                        expected.step, expected.sweep, expected.site,
-                        expected.direction, expected.stalled,
+                        k * len(schedule) + j, k, expected.site, direction, expected.stalled,
                     ), (n, d, chi)
                     assert abs(rec.overlap - expected.overlap) < 1e-12, (n, d, chi, rec)
-                assert len(records) == len(sweep_schedule(n))
+                assert len(records) == len(schedule)
                 replay = gauge_to(replay, 0)
             np.testing.assert_allclose(
                 mps_to_dense(state).amplitudes, mps_to_dense(replay).amplitudes,
@@ -276,9 +274,9 @@ class TestSweepCarry:
     def test_carried_sweep_matches_fresh(self):
         for n, d, chi in itertools.product(range(1, 10), (2, 3), (1, 2, 3, 16)):
             target = named_state("random", n, d, seed=100 + n)
-            state, records, carry = sweep(random_mps(n, d, chi, seed=n + chi), target, 0)
-            carried = sweep(state, target, 1, len(records), carry)
-            fresh = sweep(state, target, 1, len(records))
+            state, _, carry = sweep(random_mps(n, d, chi, seed=n + chi), target, 0)
+            carried = sweep(state, target, 1, carry)
+            fresh = sweep(state, target, 1)
             assert_same_sweep(carried, fresh)
             assert [e.tobytes() for e in carried[2].right] == [
                 e.tobytes() for e in fresh[2].right
@@ -291,9 +289,9 @@ class TestSweepCarry:
         state, _, carry = sweep(random_mps(n, d, chi, seed=1), target, 0)
         _, _, other_carry = sweep(random_mps(n, d, chi, seed=2), target, 0)
         # a carry built for another state, or for another target
-        assert_same_sweep(sweep(state, target, 1, 0, other_carry), sweep(state, target, 1))
+        assert_same_sweep(sweep(state, target, 1, other_carry), sweep(state, target, 1))
         assert_same_sweep(
-            sweep(state, other_target, 1, 0, carry), sweep(state, other_target, 1)
+            sweep(state, other_target, 1, carry), sweep(state, other_target, 1)
         )
 
     def test_train_reads_the_target_twice_per_later_sweep(self, monkeypatch):

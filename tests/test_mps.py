@@ -23,6 +23,24 @@ from sphere_dmrg.mps import (
 from sphere_dmrg.target import named_state
 
 
+# any JSON value: scalars of every JSON type (with integers past float64
+# range) and small lists or objects of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10) | st.integers()
+    | st.just(10**400) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def retyped(value):
+    """``value`` under other JSON types: a float, a string, a bool, a list."""
+    if isinstance(value, (int, float)) and math.isfinite(value):
+        return [float(value), int(value), str(value), bool(value), [value]]
+    return [str(value), [value]]
+
+
 def product_state_mps(bits, d=2):
     """MPS for a computational basis product state, all bonds 1."""
     sites = []
@@ -227,18 +245,60 @@ class TestSerialization:
         ("data", [math.nan] * 4),
         ("data", [math.inf] * 4),
         ("data", ["a"] * 4),
+        ("data", [True, False, False, True]),
+        ("data", [10**400] * 4),
         ("n", None),
+        ("n", 3.7),
+        ("d", 2.0),
+        ("center", False),
+        ("shape", [1, 2.0, 2]),
     ])
     def test_rejects_malformed_document(self, field, value):
         doc = json.loads(json.dumps(mps_to_json_dict(random_mps(3, 2, 2, seed=1))))
         if field == "data":
             doc["tensors"][0] = {"shape": [1, 2, 2], "data": value}
+        elif field == "shape":
+            doc["tensors"][0]["shape"] = value
         elif value is None:
             del doc[field]
         else:
             doc[field] = value
         with pytest.raises(InputError):
             mps_from_json_dict(doc)
+
+    @given(
+        n=st.integers(1, 6), d=st.integers(2, 3), chi=st.integers(1, 4),
+        seed=st.integers(0, 2**32), data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_loads_or_refuses_any_document(self, n, d, chi, seed, data):
+        state = gauge_to(random_mps(n, d, chi, seed), data.draw(st.integers(0, n - 1)))
+        doc = mps_to_json_dict(state)
+        for back in (mps_from_json_dict(doc), mps_from_json_dict(json.loads(json.dumps(doc)))):
+            assert (back.n, back.d, back.center) == (state.n, state.d, state.center)
+            assert [c.shape for c in back.sites] == [c.shape for c in state.sites]
+            assert [c.tobytes() for c in back.sites] == [c.tobytes() for c in state.sites]
+        # replace one field, shape, data list or entry of a JSON copy, either
+        # by any JSON value or by the same value under another JSON type
+        doc = json.loads(json.dumps(doc))
+        core = doc["tensors"][data.draw(st.integers(0, n - 1))]
+        holder, key = data.draw(st.sampled_from([
+            (doc, "n"), (doc, "d"), (doc, "center"), (doc, "tensors"),
+            (core, "shape"), (core, "data"),
+        ]))
+        if data.draw(st.booleans()) and isinstance(holder[key], list) and holder[key]:
+            holder, key = holder[key], data.draw(st.integers(0, len(holder[key]) - 1))
+        holder[key] = data.draw(JSON_VALUES | st.sampled_from(retyped(holder[key])))
+        try:
+            loaded = mps_from_json_dict(doc)
+        except InputError:
+            return
+        # only integer sizes and non-bool numbers load, and they load as written
+        sizes = [doc["n"], doc["d"], doc["center"]]
+        sizes += [v for core in doc["tensors"] for v in core["shape"]]
+        assert all(type(v) is int for v in sizes), sizes
+        assert not any(type(x) is bool for core in doc["tensors"] for x in core["data"])
+        assert mps_to_json_dict(loaded) == doc
 
     def test_schema_fields(self):
         doc = mps_to_json_dict(random_mps(3, 2, 2, seed=1))

@@ -258,6 +258,11 @@ class TestResolveTarget:
         '{"kind": "counts", "d": 2, "counts": ["00"]}',
         '{"kind": "counts", "d": 2, "counts": {"0a": 1}}',
         '{"kind": "amplitudes", "n": 2, "d": 2, "amplitudes": ["x"]}',
+        '{"kind": "amplitudes", "n": 2, "d": 2, "amplitudes": [true, false, false, false]}',
+        pytest.param('{"kind": "amplitudes", "n": 2, "d": 2, "amplitudes": [1%s, 0, 0, 0]}'
+                     % ("0" * 400), id="amplitude-past-float64"),
+        pytest.param('{"kind": "counts", "d": 2, "counts": {"00": 1%s}}' % ("0" * 400),
+                     id="count-past-float64"),
         '["counts"]',
     ])
     @pytest.mark.parametrize("prefix", ["file:", "counts:"])
