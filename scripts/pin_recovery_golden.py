@@ -28,7 +28,12 @@ def oracle_update(state, target):
     return dataclasses.replace(state, sites=tuple(sites)), norm
 
 
-def main():
+def golden_overlap(log=lambda line: None):
+    """Sweep with the dense oracle until the overlap change drops below TOL.
+
+    Returns the converged overlap, or None after 100 sweeps; ``log`` gets
+    one line per sweep.
+    """
     target = mps_to_dense(random_mps(N, D, CHI, TARGET_SEED))
     state = random_mps(N, D, CHI, TRAIN_SEED)
     prev_last = None
@@ -36,12 +41,19 @@ def main():
         last = None
         for site, _ in sweep_schedule(N):
             state, last = oracle_update(gauge_to(state, site), target)
-        print(f"sweep {k}: overlap {last!r}")
+        log(f"sweep {k}: overlap {last!r}")
         if prev_last is not None and abs(last - prev_last) < TOL:
-            print(f"\nconverged; golden overlap = {last!r}")
-            return
+            return last
         prev_last = last
-    print("did not converge within 100 sweeps")
+    return None
+
+
+def main():
+    golden = golden_overlap(print)
+    if golden is None:
+        print("did not converge within 100 sweeps")
+    else:
+        print(f"\nconverged; golden overlap = {golden!r}")
 
 
 if __name__ == "__main__":

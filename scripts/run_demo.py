@@ -13,7 +13,7 @@ from sphere_dmrg.engine import TrainConfig, train
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sites", type=int, default=6)
-    parser.add_argument("--bond-dim", type=int, default=2)
+    parser.add_argument("--bond-dim", type=int, default=TrainConfig.chi)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--target", default="named:random:1")
     parser.add_argument("--max-sweeps", type=int, default=8)

@@ -26,11 +26,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--sites", type=int, required=True, help="number of sites n")
-    p.add_argument("--phys-dim", type=int, default=2, help="local dimension d")
+    p.add_argument("--phys-dim", type=int, default=TrainConfig.d, help="local dimension d")
     p.add_argument("--bond-dim", type=int, required=True, help="bond dimension cap")
     p.add_argument("--seed", type=int, required=True, help="initialization seed")
-    p.add_argument("--max-sweeps", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--max-sweeps", type=int, default=TrainConfig.max_sweeps)
+    p.add_argument("--tol", type=float, default=TrainConfig.tol,
                    help="overlap-change convergence tolerance per sweep")
     p.add_argument("--target", required=True,
                    help="named:<name>[:seed] | file:<path> | counts:<path>")
@@ -62,17 +62,16 @@ def _csv_row(r: MetricRecord) -> str:
 
 
 def config_from_args(args) -> TrainConfig:
-    config = TrainConfig(
-        n=args.sites,
-        d=args.phys_dim,
-        chi=args.bond_dim,
-        seed=args.seed,
-        max_sweeps=args.max_sweeps,
-        tol=args.tol,
-        target=args.target,
-    )
     try:
-        config.validate()
+        return TrainConfig(
+            n=args.sites,
+            d=args.phys_dim,
+            chi=args.bond_dim,
+            seed=args.seed,
+            max_sweeps=args.max_sweeps,
+            tol=args.tol,
+            target=args.target,
+        )
     except InputError as exc:
         flags = {
             "n": "--sites", "d": "--phys-dim", "chi": "--bond-dim", "seed": "--seed",
@@ -82,7 +81,6 @@ def config_from_args(args) -> TrainConfig:
         for field, flag in flags.items():
             msg = msg.replace(f"got {field}=", f"got {flag}=")
         raise InputError(msg) from exc
-    return config
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import InputError
 from .mps import (
     MPS,
+    check_dims,
     check_gauge,
     check_isometry,
     left_defect,
@@ -86,7 +87,7 @@ class TrainConfig:
     tol: float = 1e-10
     target: str = "named:uniform"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError(f"n must be >= 1, got n={self.n}")
         if self.d < 2:
@@ -105,14 +106,6 @@ class TrainConfig:
 def sweep_schedule(n: int) -> list[tuple[int, str]]:
     """(site, direction) of each update in one sweep: 0..n-1 R, then n-2..0 L."""
     return [(i, "R") for i in range(n)] + [(i, "L") for i in range(n - 2, -1, -1)]
-
-
-def _check_dims(state: MPS, target: DenseState) -> None:
-    if target.n != state.n or target.d != state.d:
-        raise InputError(
-            f"dimension mismatch: state is ({state.n}, {state.d}), "
-            f"target is ({target.n}, {target.d})"
-        )
 
 
 def _left_start(m: int, t: np.ndarray) -> np.ndarray:
@@ -164,7 +157,7 @@ def compute_projection_tensor(state: MPS, target: DenseState) -> ProjectionTenso
     Builds both environments from the chain ends with the same steps that
     ``sweep`` carries along, reading the target once.
     """
-    _check_dims(state, target)
+    check_dims(state, target)
     check_gauge(state)
     n, c, m, t = state.n, state.center, state.n // 2, target.amplitudes
     left = _left_start(m, t)
@@ -259,7 +252,7 @@ def sweep(
     """
     if state.center != 0:
         raise InputError(f"sweep requires center 0, got {state.center}")
-    _check_dims(state, target)
+    check_dims(state, target)
     check_gauge(state)
     n, m, t = state.n, state.n // 2, target.amplitudes
     cores = list(state.sites)
@@ -286,7 +279,7 @@ def sweep(
             right[site] = _right_env(right[site + 1], core, site + 1, m, t)
         proj = _projection(left[site], right[site], site, m, cores[site].shape)
         records.append(_closest_point(cores, site, proj, k, sweep_index, direction))
-    state = MPS(sites=tuple(cores), center=0, d=state.d)
+    state = MPS(sites=tuple(cores), center=0)
     return state, records, SweepCarry(state=state, target=target, right=tuple(right))
 
 
@@ -296,7 +289,6 @@ def train(config: TrainConfig) -> tuple[MPS, list[MetricRecord], str]:
     Returns (final state, full trajectory, termination reason), where the
     reason is "converged" or "sweep-limit". Deterministic in the config.
     """
-    config.validate()
     target = resolve_target(config.target, config.n, config.d)
     state = random_mps(config.n, config.d, config.chi, config.seed)
     trajectory: list[MetricRecord] = []

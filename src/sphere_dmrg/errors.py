@@ -13,13 +13,5 @@ class InputError(SphereDMRGError):
     """Invalid argument, config field, or target specification."""
 
 
-class BoundaryError(SphereDMRGError):
-    """Gauge move would leave the chain."""
-
-
-class DenseSizeError(InputError):
-    """Dense amplitude vector would exceed the size guard."""
-
-
 class GaugeError(SphereDMRGError):
     """Mixed-canonical gauge invariants are violated beyond tolerance."""

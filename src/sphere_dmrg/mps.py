@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BoundaryError, GaugeError, InputError
+from .errors import GaugeError, InputError
 from .target import DenseState, check_dense_guard, number_array
 from .tensor import contract, qr_orthonormalize
 
@@ -30,11 +30,23 @@ class MPS:
 
     sites: tuple[np.ndarray, ...]
     center: int
-    d: int
 
     @property
     def n(self) -> int:
         return len(self.sites)
+
+    @property
+    def d(self) -> int:
+        return self.sites[0].shape[1]
+
+
+def check_dims(state: MPS, target: DenseState) -> None:
+    """Raise InputError unless ``state`` and ``target`` have the same (n, d)."""
+    if target.n != state.n or target.d != state.d:
+        raise InputError(
+            f"dimension mismatch: state is ({state.n}, {state.d}), "
+            f"target is ({target.n}, {target.d})"
+        )
 
 
 def bond_dim(n: int, d: int, chi: int, i: int) -> int:
@@ -108,7 +120,7 @@ def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
         shift_cores(sites, j, "left")
     sites[0] = sites[0] / np.linalg.norm(sites[0])
     _validate_chain(sites)
-    return MPS(sites=tuple(sites), center=0, d=d)
+    return MPS(sites=tuple(sites), center=0)
 
 
 def shift_cores(cores: list[np.ndarray], j: int, direction: str) -> int:
@@ -122,7 +134,7 @@ def shift_cores(cores: list[np.ndarray], j: int, direction: str) -> int:
     l, d, r = cores[j].shape
     if direction == "right":
         if j == len(cores) - 1:
-            raise BoundaryError("cannot shift right at the last site")
+            raise InputError("cannot shift right at the last site")
         q, t = qr_orthonormalize(cores[j].reshape(l * d, r))
         cores[j] = q.reshape(l, d, r)
         nxt = cores[j + 1]
@@ -130,7 +142,7 @@ def shift_cores(cores: list[np.ndarray], j: int, direction: str) -> int:
         return j + 1
     if direction == "left":
         if j == 0:
-            raise BoundaryError("cannot shift left at site 0")
+            raise InputError("cannot shift left at site 0")
         q, t = qr_orthonormalize(cores[j].reshape(l, d * r).T)
         cores[j] = q.T.reshape(l, d, r)
         prev = cores[j - 1]
@@ -179,11 +191,7 @@ def overlap_dense(state: MPS, target: DenseState) -> float:
     Folds the target through the chain one core at a time, so no second
     dense copy of the MPS is ever materialized.
     """
-    if target.n != state.n or target.d != state.d:
-        raise InputError(
-            f"dimension mismatch: state is ({state.n}, {state.d}), "
-            f"target is ({target.n}, {target.d})"
-        )
+    check_dims(state, target)
     d = state.d
     env = target.amplitudes.reshape(1, -1)
     for core in state.sites:
@@ -231,4 +239,4 @@ def mps_from_json_dict(doc: dict) -> MPS:
     if not 0 <= center < n:
         raise InputError(f"center {center} outside [0, {n})")
     _validate_chain(sites)
-    return MPS(sites=tuple(sites), center=center, d=d)
+    return MPS(sites=tuple(sites), center=center)

@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenseSizeError, InputError
+from .errors import InputError
 
 #: dense vectors are refused beyond 2**DENSE_GUARD_BITS amplitudes
 DENSE_GUARD_BITS = 30.0
@@ -27,7 +28,7 @@ DENSE_GUARD_BITS = 30.0
 
 def check_dense_guard(n: int, d: int) -> None:
     if n * math.log2(d) > DENSE_GUARD_BITS + 1e-9:
-        raise DenseSizeError(
+        raise InputError(
             f"dense vector of {d}**{n} amplitudes exceeds the "
             f"2**{DENSE_GUARD_BITS:g} size guard"
         )
@@ -130,14 +131,26 @@ def state_from_counts(counts: dict[str, int], d: int) -> DenseState:
     return DenseState(n=n, d=d, amplitudes=amps)
 
 
+def _spec_integer(text: str) -> int | None:
+    """``text`` as an int if it is ASCII ``-?[0-9]+`` (not "+3", " 3" or "٣"), else None."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise InputError(f"integer of {len(text)} digits is too long") from None
+
+
 def named_state(name: str, n: int, d: int, seed: int | None = None) -> DenseState:
     """Build one of the named analytic targets.
 
     Supported names: uniform, ghz, w, basis:<k>, random. ghz and w require
-    d=2; random requires a seed.
+    d=2; random requires a seed, and no other name takes one.
     """
     if n < 1 or d < 2:
         raise InputError(f"invalid sizes n={n}, d={d}")
+    if seed is not None and name != "random":
+        raise InputError(f"target {name!r} takes no seed")
     check_dense_guard(n, d)
     dim = d**n
     if name == "uniform":
@@ -154,10 +167,9 @@ def named_state(name: str, n: int, d: int, seed: int | None = None) -> DenseStat
         for i in range(n):
             amps[2 ** (n - 1 - i)] = 1.0 / math.sqrt(n)
     elif name.startswith("basis:"):
-        try:
-            k = int(name.split(":", 1)[1])
-        except ValueError:
-            raise InputError(f"basis index in {name!r} is not an integer") from None
+        k = _spec_integer(name[len("basis:"):])
+        if k is None:
+            raise InputError(f"basis index in {name!r} is not an integer")
         if not (0 <= k < dim):
             raise InputError(f"basis index {k} out of range [0, {dim})")
         amps = np.zeros(dim)
@@ -243,12 +255,10 @@ def resolve_target(spec: str, n: int, d: int) -> DenseState:
     """Resolve a target spec string: named:<name>[:seed] | file:<path> | counts:<path>."""
     if spec.startswith("named:"):
         rest = spec[len("named:"):]
-        if rest.startswith("basis:"):
-            return named_state(rest, n, d)
-        parts = rest.rsplit(":", 1)
-        if len(parts) == 2 and parts[1].lstrip("-").isdigit():
-            return named_state(parts[0], n, d, seed=int(parts[1]))
-        return named_state(rest, n, d)
+        name, colon, tail = rest.rpartition(":")
+        # the integer after "basis:" is the index, not a seed
+        seed = _spec_integer(tail) if colon and name != "basis" else None
+        return named_state(rest if seed is None else name, n, d, seed=seed)
     if spec.startswith("file:"):
         return load_target_file(spec[len("file:"):], n, d)
     if spec.startswith("counts:"):

@@ -16,7 +16,7 @@ from .engine import (
 )
 from .mps import gauge_to, mps_to_dense, random_mps
 from .oracle import project_onto_subspace_dense, subspace_basis_dense
-from .target import check_dense_guard, resolve_target
+from .target import resolve_target
 
 COEFF_TOL = 1e-12
 STATE_TOL = 1e-10
@@ -36,8 +36,6 @@ def oracle_check(config: TrainConfig) -> list[str]:
     at the end, that the final state of the second sweep equals the
     oracle's. Returns a list of mismatch descriptions (empty = pass).
     """
-    config.validate()
-    check_dense_guard(config.n, config.d)
     target = resolve_target(config.target, config.n, config.d)
     state = random_mps(config.n, config.d, config.chi, config.seed)
     swept, records, carry = sweep(state, target, 0)

@@ -4,14 +4,16 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one PASS line per
 criterion.
 """
 
+import importlib.util
 import itertools
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
-from sphere_dmrg.engine import TrainConfig, optimal_update, train
+from sphere_dmrg.engine import TrainConfig, train
 from sphere_dmrg.cli import main
 from sphere_dmrg.mps import (
     gauge_defect,
@@ -20,11 +22,17 @@ from sphere_dmrg.mps import (
     random_mps,
     shift_center,
 )
-from sphere_dmrg.oracle import project_onto_subspace_dense, subspace_basis_dense
-from sphere_dmrg.target import DenseState, named_state
 from sphere_dmrg.verify import oracle_check
 
 OVERLAP_SLACK = 1e-12
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def report(line):
@@ -93,18 +101,10 @@ ASYMMETRY_SEED = 0
 
 
 def test_c4_membership_asymmetry():
-    n, d, chi = 4, 2, 2
-    state = gauge_to(random_mps(n, d, chi, ASYMMETRY_SEED), 1)
-    target = named_state("random", n, d, seed=ASYMMETRY_SEED + 1000)
-    psi_prev = mps_to_dense(state).amplitudes
-    state, _ = optimal_update(state, target)
-    psi_k = mps_to_dense(state).amplitudes
-    state = shift_center(state, "right")
-    basis = subspace_basis_dense(state)
-    _, norm_k = project_onto_subspace_dense(DenseState(n, d, psi_k), basis)
-    _, norm_prev = project_onto_subspace_dense(DenseState(n, d, psi_prev), basis)
-    assert abs(norm_k - 1.0) <= 1e-10
-    assert norm_prev < 1.0 - 1e-6
+    check_seed = load_script("find_asymmetry_seed").check_seed
+    ok, norm_k, norm_prev = check_seed(ASYMMETRY_SEED)
+    assert ok, (norm_k, norm_prev)
+    assert not any(check_seed(seed)[0] for seed in range(ASYMMETRY_SEED))
     report(
         f"C4 membership asymmetry: new iterate projects with norm {norm_k:.3e}, "
         f"previous with norm {norm_prev:.6f}"
@@ -129,6 +129,7 @@ def test_c5_exact_recovery_regression(tmp_path):
     _, traj, reason = train(cfg)
     assert reason == "converged"
     assert abs(traj[-1].overlap - RECOVERY_GOLDEN_OVERLAP) <= 1e-9
+    assert load_script("pin_recovery_golden").golden_overlap() == RECOVERY_GOLDEN_OVERLAP
     report(f"C5 exact recovery: converged at overlap {traj[-1].overlap!r}")
 
 

@@ -111,6 +111,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("spec", [
         "named:basis:x",
+        "named:random:²",
+        "named:basis:٣",
         "file:{tmp}/absent.json",
         "file:{tmp}/truncated.json",
         "counts:{tmp}/no_d.json",
@@ -141,6 +143,7 @@ class TestRunCommand:
         (["--tol", "nan"], "--tol=nan"),
         (["--seed", "-1"], "--seed=-1"),
         (["--target", "named:random:-3"], "seed must be >= 0, got -3"),
+        (["--target", "named:uniform:3"], "target 'uniform' takes no seed"),
     ])
     def test_invalid_input_exit_2(self, tmp_path, capsys, extra, fragment):
         (tmp_path / "counts.json").write_text(

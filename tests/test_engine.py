@@ -28,7 +28,7 @@ def fixed_site1_mps():
     a0[0, 0, 0] = 1.0
     a1 = np.zeros((1, 2, 1))
     a1[0, 0, 0] = 1.0
-    return MPS(sites=(a0, a1), center=0, d=2)
+    return MPS(sites=(a0, a1), center=0)
 
 
 class TestComputeProjectionTensor:
@@ -242,7 +242,7 @@ class TestSweepFold:
         n = 18
         zero = np.zeros((1, 2, 1))
         zero[0, 0, 0] = 1.0
-        state = MPS(sites=(zero,) * n, center=0, d=2)
+        state = MPS(sites=(zero,) * n, center=0)
         target = named_state(f"basis:{3 << (n - 2)}", n, 2)
         records, peak = self.sweep_traced(state, target)
         assert all(rec.stalled and rec.overlap == 0.0 for rec in records)
@@ -319,6 +319,18 @@ class TestSweepCarry:
             train(TrainConfig(n=n, chi=1, seed=1, target="named:random:3",
                               max_sweeps=4, tol=1e-30))
             assert crossings == [3, 2, 2, 2], n
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("n", 0), ("d", 1), ("chi", 0), ("seed", -1), ("max_sweeps", 0),
+        ("tol", 0.0), ("tol", math.nan),
+    ])
+    def test_bad_field_refused_when_built(self, field, value):
+        with pytest.raises(InputError, match=f"got {field}="):
+            TrainConfig(**{"n": 3, field: value})
+        with pytest.raises(InputError, match=f"got {field}="):
+            dataclasses.replace(TrainConfig(n=3), **{field: value})
 
 
 class TestTrain:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere_dmrg.errors import BoundaryError, DenseSizeError, InputError
+from sphere_dmrg.errors import InputError
 from sphere_dmrg.mps import (
     MPS,
     gauge_defect,
@@ -48,7 +48,7 @@ def product_state_mps(bits, d=2):
         core = np.zeros((1, d, 1))
         core[0, b, 0] = 1.0
         sites.append(core)
-    return MPS(sites=tuple(sites), center=0, d=d)
+    return MPS(sites=tuple(sites), center=0)
 
 
 def ghz_mps():
@@ -59,7 +59,7 @@ def ghz_mps():
     a1[0, 0, 0] = a1[1, 1, 1] = 1.0
     a2 = np.zeros((2, 2, 1))
     a2[0, 0, 0] = a2[1, 1, 0] = 1.0 / math.sqrt(2.0)
-    return MPS(sites=(a0, a1, a2), center=2, d=2)
+    return MPS(sites=(a0, a1, a2), center=2)
 
 
 class TestRandomMPS:
@@ -87,7 +87,7 @@ class TestRandomMPS:
         assert abs(np.linalg.norm(state.sites[0]) - 1.0) < 1e-10
 
     def test_size_guard(self):
-        with pytest.raises(DenseSizeError):
+        with pytest.raises(InputError):
             random_mps(31, 2, 2, seed=0)
 
     @pytest.mark.parametrize("n,d,chi", [(0, 2, 2), (3, 1, 2), (3, 2, 0)])
@@ -110,7 +110,7 @@ class TestShiftCenter:
         a0 = np.zeros((1, 2, 2))
         a0[0, 0, 0] = 1.0
         a1 = np.eye(2).reshape(2, 2, 1)
-        state = MPS(sites=(a0, a1), center=0, d=2)
+        state = MPS(sites=(a0, a1), center=0)
         shifted = shift_center(state, "right")
         np.testing.assert_allclose(
             mps_to_dense(shifted).amplitudes, [1.0, 0.0, 0.0, 0.0], atol=1e-15
@@ -139,9 +139,9 @@ class TestShiftCenter:
 
     def test_boundary_errors(self):
         state = random_mps(3, 2, 2, seed=0)
-        with pytest.raises(BoundaryError):
+        with pytest.raises(InputError):
             shift_center(state, "left")
-        with pytest.raises(BoundaryError):
+        with pytest.raises(InputError):
             shift_center(gauge_to(state, 2), "right")
 
     def test_bad_direction(self):

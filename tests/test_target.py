@@ -182,6 +182,11 @@ class TestNamedState:
         with pytest.raises(InputError):
             named_state("bell", 2, 2)
 
+    @pytest.mark.parametrize("name", ["uniform", "ghz", "w", "basis:1"])
+    def test_only_random_takes_a_seed(self, name):
+        with pytest.raises(InputError, match=f"target {name!r} takes no seed"):
+            named_state(name, 2, 2, seed=3)
+
 
 class TestTargetFiles:
     def test_counts_file(self, tmp_path):
@@ -245,6 +250,40 @@ class TestResolveTarget:
     def test_basis_index_not_an_integer(self):
         with pytest.raises(InputError, match="not an integer"):
             resolve_target("named:basis:x", 2, 2)
+
+    @pytest.mark.parametrize("index", ["+3", " 3", "3 ", "٣", "²", "--3", ""])
+    def test_basis_index_is_an_ascii_integer(self, index):
+        with pytest.raises(InputError, match="not an integer"):
+            resolve_target(f"named:basis:{index}", 2, 2)
+
+    @pytest.mark.parametrize("seed", ["²", "+3", " 3", "٣", "--3"])
+    def test_seed_is_an_ascii_integer(self, seed):
+        with pytest.raises(InputError, match="unknown target name"):
+            resolve_target(f"named:random:{seed}", 2, 2)
+
+    @pytest.mark.parametrize("name", ["random", "basis"])
+    def test_integer_past_the_conversion_limit(self, name):
+        with pytest.raises(InputError, match="5000 digits is too long"):
+            resolve_target(f"named:{name}:{'1' * 5000}", 2, 2)
+
+    # one branch per character class, so that ":" and the non-ASCII digits
+    # come up as often as a letter; short texts keep ":<digits>" tails common
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(st.one_of(
+            st.sampled_from("abcdefghijklmnopqrstuvwxyz"),
+            st.sampled_from("0123456789"),
+            *map(st.just, ":-+ ²٣"),
+        ), max_size=8),
+        st.integers(1, 6),
+        st.sampled_from([2, 3]),
+    )
+    def test_named_spec_loads_or_refuses(self, text, n, d):
+        try:
+            state = resolve_target(f"named:{text}", n, d)
+        except InputError:
+            return
+        assert isinstance(state, DenseState)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
