@@ -86,32 +86,28 @@ def config_from_args(args) -> TrainConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except InputError as exc:
+        return _run(args)
+    except SphereDMRGError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, InputError) else 1
 
+
+def _run(args) -> int:
+    """Train, check and write one run; invalid input raises InputError."""
+    config = config_from_args(args)
     out = args.out
     try:
         os.makedirs(out, exist_ok=True)
         nonempty = bool(os.listdir(out))
     except OSError as exc:
-        print(f"error: cannot use output directory {out!r}: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"cannot use output directory {out!r}: {exc}") from exc
     if nonempty and not args.force:
-        print(f"error: output directory {out!r} is not empty "
-              "(pass --force to overwrite)", file=sys.stderr)
-        return 2
+        raise InputError(
+            f"output directory {out!r} is not empty (pass --force to overwrite)"
+        )
 
     start = time.monotonic()
-    try:
-        state, trajectory, reason = train(config)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SphereDMRGError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    state, trajectory, reason = train(config)
     elapsed = time.monotonic() - start
 
     if args.oracle_check:
@@ -136,8 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         mps_json = json.dumps(mps_to_json_dict(state), allow_nan=False)
         summary_json = json.dumps(summary, indent=2, allow_nan=False)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise SphereDMRGError(str(exc)) from exc
     _atomic_write(os.path.join(out, "trajectory.csv"), "\n".join(rows) + "\n")
     _atomic_write(os.path.join(out, "final_mps.json"), mps_json + "\n")
     _atomic_write(os.path.join(out, "summary.json"), summary_json + "\n")

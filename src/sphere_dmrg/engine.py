@@ -88,16 +88,10 @@ class TrainConfig:
     target: str = "named:uniform"
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError(f"n must be >= 1, got n={self.n}")
-        if self.d < 2:
-            raise InputError(f"d must be >= 2, got d={self.d}")
-        if self.chi < 1:
-            raise InputError(f"chi must be >= 1, got chi={self.chi}")
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got seed={self.seed}")
-        if self.max_sweeps < 1:
-            raise InputError(f"max_sweeps must be >= 1, got max_sweeps={self.max_sweeps}")
+        for field, low in (("n", 1), ("d", 2), ("chi", 1), ("seed", 0), ("max_sweeps", 1)):
+            value = getattr(self, field)
+            if value < low:
+                raise InputError(f"{field} must be >= {low}, got {field}={value}")
         # written so that NaN fails too
         if not self.tol > 0:
             raise InputError(f"tol must be > 0, got tol={self.tol}")

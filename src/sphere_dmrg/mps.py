@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GaugeError, InputError
-from .target import DenseState, check_dense_guard, number_array
+from .target import DenseState, check_dense_guard, json_int, number_array
 from .tensor import contract, qr_orthonormalize
 
 #: largest isometry defect a non-center core may have
@@ -216,23 +216,18 @@ def mps_to_json_dict(state: MPS) -> dict:
 def mps_from_json_dict(doc: dict) -> MPS:
     """Rebuild an MPS from ``mps_to_json_dict`` output; InputError if malformed."""
     try:
-        n, d, center = doc["n"], doc["d"], doc["center"]
+        n, d, center = (json_int(doc[key], f"MPS field {key!r}") for key in ("n", "d", "center"))
         cores = [(tuple(entry["shape"]), entry["data"]) for entry in doc["tensors"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed MPS document: {exc!r}") from exc
-    for value in (n, d, center, *(v for shape, _ in cores for v in shape)):
-        # bools are ints to Python, but not sizes
-        if type(value) is not int:
-            raise InputError(f"MPS sizes must be integers, got {value!r}")
     sites = []
     for j, (shape, data) in enumerate(cores):
+        shape = tuple(json_int(v, f"shape entry of core {j}") for v in shape)
         if len(shape) != 3 or shape[1] != d or min(shape) < 1:
             raise InputError(f"core {j} has shape {shape}, expected (left, {d}, right)")
         data = number_array(data, f"data of core {j}")
         if data.shape != (math.prod(shape),):
             raise InputError(f"core {j} has {data.size} values for shape {shape}")
-        if not np.isfinite(data).all():
-            raise InputError(f"core {j} holds a NaN or Inf entry")
         sites.append(data.reshape(shape))
     if len(sites) != n:
         raise InputError(f"expected {n} tensors, got {len(sites)}")

@@ -95,7 +95,7 @@ def state_from_counts(counts: dict[str, int], d: int) -> DenseState:
     """Amplitude-encode an empirical distribution over digit strings.
 
     Keys are equal-length ASCII digit strings with every digit below d;
-    counts are positive finite numbers (not strings or bools).
+    counts are positive numbers, read by ``number_array``.
     """
     if not counts:
         raise InputError("counts map is empty")
@@ -105,18 +105,10 @@ def state_from_counts(counts: dict[str, int], d: int) -> DenseState:
     if len(set(map(len, counts))) > 1:
         key = next(k for k in counts if len(k) != n)
         raise InputError(f"key {key!r} has length {len(key)}, expected {n}")
-    for kind in set(map(type, counts.values())):
-        if kind is bool or not issubclass(kind, numbers.Real):
-            key, c = next((k, c) for k, c in counts.items() if type(c) is kind)
-            raise InputError(f"count for key {key!r} must be a number, got {c!r}")
-    try:
-        weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-    except OverflowError:
-        raise InputError("a count is an integer too large for a float64") from None
-    # a NaN count fails the first comparison
-    if not (weights.min() > 0 and weights.max() < math.inf):
-        key, c = next((k, c) for k, c in counts.items() if not 0 < c < math.inf)
-        raise InputError(f"count for key {key!r} must be positive and finite, got {c}")
+    weights = number_array(list(counts.values()), "counts map")
+    if not weights.min() > 0:
+        key, c = next((k, c) for k, c in counts.items() if not c > 0)
+        raise InputError(f"count for key {key!r} must be positive, got {c}")
     check_dense_guard(n, d)
     idx = _digit_indices(counts, n, d)
     # the exact integer total keeps sqrt(count / total) bit-equal to the
@@ -187,11 +179,21 @@ def named_state(name: str, n: int, d: int, seed: int | None = None) -> DenseStat
     return DenseState(n=n, d=d, amplitudes=amps)
 
 
-def number_array(values, what: str) -> np.ndarray:
-    """float64 array of a JSON list of numbers; InputError for anything else.
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; InputError for anything else.
 
-    Bools, strings and nested lists are refused, not converted, as counts
-    are; so is an integer too large for a float64.
+    Bools are ints to Python, but not sizes.
+    """
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def number_array(values, what: str) -> np.ndarray:
+    """float64 array of a JSON list of finite numbers; InputError for anything else.
+
+    Bools, strings and nested lists are refused, not converted; so are NaN,
+    Infinity and an integer too large for a float64.
     """
     if not isinstance(values, list):
         raise InputError(f"{what} must be a list of numbers, got {values!r:.40}")
@@ -200,16 +202,20 @@ def number_array(values, what: str) -> np.ndarray:
             bad = next(v for v in values if type(v) is kind)
             raise InputError(f"{what} must hold only numbers, got {bad!r:.40}")
     try:
-        return np.asarray(values, dtype=np.float64)
+        array = np.asarray(values, dtype=np.float64)
     except OverflowError:
         raise InputError(f"{what} holds an integer too large for a float64") from None
+    if not np.isfinite(array).all():
+        raise InputError(f"{what} holds a NaN or Infinity")
+    return array
 
 
-def _int_field(doc: dict, name: str, path: str) -> int:
-    value = doc.get(name)
-    if type(value) is not int:
-        raise InputError(f"field {name!r} in {path} must be an integer, got {value!r}")
-    return value
+def _check_sizes(path: str, file_n: int, file_d: int, n: int, d: int) -> None:
+    if (file_n, file_d) != (n, d):
+        raise InputError(
+            f"target in {path} has (n, d) = ({file_n}, {file_d}), "
+            f"run requires ({n}, {d})"
+        )
 
 
 def load_target_file(path: str, n: int, d: int, kind: str | None = None) -> DenseState:
@@ -227,28 +233,23 @@ def load_target_file(path: str, n: int, d: int, kind: str | None = None) -> Dens
     file_kind = doc.get("kind")
     if kind is not None and file_kind != kind:
         raise InputError(f"{path} is not a {kind} target file")
+    if file_kind not in ("counts", "amplitudes"):
+        raise InputError(f"unknown target file kind {file_kind!r} in {path}")
+    file_d = json_int(doc.get("d"), f"field 'd' in {path}")
     if file_kind == "counts":
         counts = doc.get("counts")
         if not isinstance(counts, dict):
             raise InputError(f"field 'counts' in {path} must be an object")
-        state = state_from_counts(counts, d=_int_field(doc, "d", path))
-    elif file_kind == "amplitudes":
-        amps = number_array(doc.get("amplitudes"), f"field 'amplitudes' in {path}")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-6:
-            raise InputError(f"amplitudes in {path} have norm {norm!r}")
-        state = DenseState(
-            n=_int_field(doc, "n", path), d=_int_field(doc, "d", path),
-            amplitudes=amps / norm,
-        )
-    else:
-        raise InputError(f"unknown target file kind {file_kind!r} in {path}")
-    if state.n != n or state.d != d:
-        raise InputError(
-            f"target in {path} has (n, d) = ({state.n}, {state.d}), "
-            f"run requires ({n}, {d})"
-        )
-    return state
+        state = state_from_counts(counts, d=file_d)
+        _check_sizes(path, state.n, state.d, n, d)
+        return state
+    # before any size arithmetic, which the file's own n could make huge
+    _check_sizes(path, json_int(doc.get("n"), f"field 'n' in {path}"), file_d, n, d)
+    amps = number_array(doc.get("amplitudes"), f"field 'amplitudes' in {path}")
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > 1e-6:
+        raise InputError(f"amplitudes in {path} have norm {norm!r}")
+    return DenseState(n=n, d=d, amplitudes=amps / norm)
 
 
 def resolve_target(spec: str, n: int, d: int) -> DenseState:
@@ -258,6 +259,8 @@ def resolve_target(spec: str, n: int, d: int) -> DenseState:
         name, colon, tail = rest.rpartition(":")
         # the integer after "basis:" is the index, not a seed
         seed = _spec_integer(tail) if colon and name != "basis" else None
+        if seed is None and name == "random":
+            raise InputError(f"seed {tail!r} in {spec!r} is not an integer")
         return named_state(rest if seed is None else name, n, d, seed=seed)
     if spec.startswith("file:"):
         return load_target_file(spec[len("file:"):], n, d)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere_dmrg.cli import CSV_HEADER, main
 from sphere_dmrg.mps import mps_from_json_dict, mps_to_dense
@@ -170,3 +175,74 @@ class TestRunCommand:
             f for f in (os.listdir(out) if out.exists() else [])
             if not f.startswith(".")
         )
+
+
+# target documents by file name; the valid ones fit --sites 3 --phys-dim 2
+DOCUMENTS = {
+    "amplitudes.json": json.dumps({"kind": "amplitudes", "n": 3, "d": 2,
+                                   "amplitudes": [0.5] * 4 + [0] * 4}),
+    "counts.json": json.dumps({"kind": "counts", "d": 2, "counts": {"000": 3, "101": 1}}),
+    "nan.json": '{"kind": "amplitudes", "n": 3, "d": 2, "amplitudes": [NaN, 1, 0, 0, 0, 0, 0, 0]}',
+    "large_n.json": json.dumps({"kind": "amplitudes", "n": 40, "d": 2, "amplitudes": [1, 0]}),
+    "string_count.json": json.dumps({"kind": "counts", "d": 2, "counts": {"000": "3"}}),
+    "mps.json": json.dumps({"n": 1, "d": 2, "center": 0,
+                            "tensors": [{"shape": [1, 2, 1], "data": [1, 0]}]}),
+    "truncated.json": '{"kind": "counts", "d": 2, "cou',
+}
+# flag: (values a run can use, values it refuses); None leaves the flag out
+FLAG_VALUES = {
+    "--sites": (["1", "3", "6"], [None, "0", "-2", "x", "3.0"]),
+    "--phys-dim": ([None, "2", "3"], ["1", "0", "d"]),
+    "--bond-dim": (["1", "2", "4"], [None, "0", "-1", "c"]),
+    "--seed": (["0", "7"], [None, "-1", "s"]),
+    "--max-sweeps": (["1", "3"], ["0", "-1", "k"]),  # never the default 100
+    "--tol": ([None, "1e-10", "0.5", "inf"], ["nan", "-1", "0", "t"]),
+}
+NAMED_SPECS = (
+    ["named:uniform", "named:w", "named:basis:3", "named:random:4"],
+    [None, "named:ghz", "named:basis:99", "named:basis:x", "named:random",
+     "named:random:²", "named:random:-3", "named:uniform:3", "named:bogus", "bogus:x"],
+)
+
+
+def either(valid, invalid):
+    """One of ``valid`` four times in five, else one of ``invalid``."""
+    return st.integers(0, 4).flatmap(lambda i: st.sampled_from(valid if i else invalid))
+
+
+class TestArgvProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_one_error_line(self, data):
+        """main returns or exits with 0, 1 or 2, and code 2 prints one error: line."""
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in DOCUMENTS.items():
+                with open(os.path.join(tmp, name), "w") as fh:
+                    fh.write(text)
+            os.mkdir(os.path.join(tmp, "nonempty"))
+            open(os.path.join(tmp, "nonempty", "junk"), "w").close()
+            paths = [os.path.join(tmp, name) for name in [*DOCUMENTS, "absent.json", ""]]
+            values = dict(FLAG_VALUES)
+            values["--target"] = (
+                NAMED_SPECS[0] + ["file:" + paths[0], "file:" + paths[1], "counts:" + paths[1]],
+                NAMED_SPECS[1] + [kind + path for kind in ("file:", "counts:") for path in paths],
+            )
+            values["--out"] = (
+                [os.path.join(tmp, "fresh"), os.path.join(tmp, "nonempty")], [None, paths[0]],
+            )
+            argv = []
+            for flag, (valid, invalid) in values.items():
+                value = data.draw(either(valid, invalid))
+                argv += [] if value is None else [flag, value]
+            for flag in ("--force", "--oracle-check"):
+                argv += data.draw(st.sampled_from([[], [flag]]))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2), (code, argv)
+        if code == 2:
+            error_lines = [line for line in stderr.getvalue().splitlines() if "error:" in line]
+            assert len(error_lines) == 1, (argv, stderr.getvalue())

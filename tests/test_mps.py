@@ -266,6 +266,18 @@ class TestSerialization:
         with pytest.raises(InputError):
             mps_from_json_dict(doc)
 
+    @pytest.mark.parametrize("n, shapes, message", [
+        (1, [(2, 2, 1)], "boundary bonds must have dimension 1"),
+        (2, [(1, 2, 1), (2, 2, 1)], "bond mismatch between sites 0 and 1"),
+        (2, [(1, 2, 1)], "expected 2 tensors, got 1"),
+    ])
+    def test_rejects_malformed_chain(self, n, shapes, message):
+        doc = {"n": n, "d": 2, "center": 0, "tensors": [
+            {"shape": list(shape), "data": [0.5] * math.prod(shape)} for shape in shapes
+        ]}
+        with pytest.raises(InputError, match=message):
+            mps_from_json_dict(doc)
+
     @given(
         n=st.integers(1, 6), d=st.integers(2, 3), chi=st.integers(1, 4),
         seed=st.integers(0, 2**32), data=st.data(),

@@ -222,6 +222,15 @@ class TestTargetFiles:
         with pytest.raises(InputError):
             load_target_file(str(path), n=2, d=2)
 
+    def test_sizes_checked_before_use(self, tmp_path):
+        # the file's own n would make d**n a 100-million-bit integer
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"kind": "amplitudes", "n": 100_000_000, "d": 2, "amplitudes": [1, 0]}
+        ))
+        with pytest.raises(InputError, match=r"run requires \(3, 2\)"):
+            load_target_file(str(path), n=3, d=2)
+
 
 class TestResolveTarget:
     def test_named(self):
@@ -258,7 +267,7 @@ class TestResolveTarget:
 
     @pytest.mark.parametrize("seed", ["²", "+3", " 3", "٣", "--3"])
     def test_seed_is_an_ascii_integer(self, seed):
-        with pytest.raises(InputError, match="unknown target name"):
+        with pytest.raises(InputError, match="is not an integer"):
             resolve_target(f"named:random:{seed}", 2, 2)
 
     @pytest.mark.parametrize("name", ["random", "basis"])
