@@ -8,20 +8,14 @@ projection, and its coordinates are obtained by contracting the target
 against the frozen cores. The engine performs that update, sweeps the
 center along the chain, and records the trajectory.
 
-The contraction is split at the middle bond, m = n // 2. The environment
-of the center at site i on its left is the dense block of the cores
-0..i-1, shape (d**i, chi), while i < m, and the target folded through
-them, shape (chi, d**(n-i)), once i >= m. The right environment mirrors
-this: the dense block of the cores i+1..n-1 while i >= m, the folded
-target while i < m. Passing the middle bond is the one matmul that reads
-the whole target; every other step is one small matmul through one core.
-A sweep carries its environments along, so it holds
-O(chi * d**(ceil(n/2) + 1)) numbers besides the target instead of
-rebuilding target-sized blocks at every update. It ends with the center at
-site 0 and every right environment of its final state built, which the
-next sweep reuses in place of its opening right fold. So the first sweep
-of a run reads the target three times (the right fold at its start, then
-one crossing in each direction) and every later sweep reads it twice.
+The target is contracted against the frozen cores by the middle-bond fold
+of ``mps`` (``left_start``, ``left_env``, ``right_env``; see that module's
+docstring). A sweep carries its environments along instead of rebuilding
+target-sized blocks at every update. It ends with the center at site 0 and
+every right environment of its final state built, which the next sweep
+reuses in place of its opening right fold. So the first sweep of a run
+reads the target three times (the right fold at its start, then one
+crossing in each direction) and every later sweep reads it twice.
 
 An update whose projection norm is at or below ``STALL_EPS`` stalls: it
 keeps the state and records the overlap the state already has, which lies
@@ -43,8 +37,11 @@ from .mps import (
     check_gauge,
     check_isometry,
     left_defect,
+    left_env,
+    left_start,
     random_mps,
     right_defect,
+    right_env,
     shift_cores,
 )
 from .mps import shift_center  # noqa: F401  (perfbench/layers.py wraps engine.shift_center)
@@ -102,37 +99,6 @@ def sweep_schedule(n: int) -> list[tuple[int, str]]:
     return [(i, "R") for i in range(n)] + [(i, "L") for i in range(n - 2, -1, -1)]
 
 
-def _left_start(m: int, t: np.ndarray) -> np.ndarray:
-    """Left environment of site 0: the empty block, or for n = 1 the target."""
-    return np.ones((1, 1)) if m else t.reshape(1, -1)
-
-
-def _left_env(env: np.ndarray, core: np.ndarray, i: int, m: int, t: np.ndarray) -> np.ndarray:
-    """Left environment of site i + 1 from that of site i and the left isometry at i.
-
-    Reaching site m folds the target through the dense block: the one
-    matmul over the whole target.
-    """
-    l, d, r = core.shape
-    if i >= m:
-        return core.reshape(l * d, r).T @ env.reshape(l * d, -1)
-    block = (env @ core.reshape(l, d * r)).reshape(-1, r)
-    return block.T @ t.reshape(block.shape[0], -1) if i + 1 == m else block
-
-
-def _right_env(env: np.ndarray, core: np.ndarray, i: int, m: int, t: np.ndarray) -> np.ndarray:
-    """Right environment of site i - 1 from that of site i and the right isometry at i.
-
-    Reaching site m - 1 folds the target through the dense block: the one
-    matmul over the whole target.
-    """
-    l, d, r = core.shape
-    if i < m:
-        return env.reshape(-1, d * r) @ core.reshape(l, d * r).T
-    block = (core.reshape(l * d, r) @ env).reshape(l, -1)
-    return t.reshape(-1, block.shape[1]) @ block.T if i == m else block
-
-
 def _projection(left: np.ndarray, right: np.ndarray, i: int, m: int, shape) -> ProjectionTensor:
     """Projection coefficients at site i from its two environments."""
     l, d, r = shape
@@ -154,12 +120,12 @@ def compute_projection_tensor(state: MPS, target: DenseState) -> ProjectionTenso
     check_dims(state, target)
     check_gauge(state)
     n, c, m, t = state.n, state.center, state.n // 2, target.amplitudes
-    left = _left_start(m, t)
+    left = left_start(m, t)
     for i in range(c):
-        left = _left_env(left, state.sites[i], i, m, t)
+        left = left_env(left, state.sites[i], i, m, t)
     right = np.ones((1, 1))
     for i in range(n - 1, c, -1):
-        right = _right_env(right, state.sites[i], i, m, t)
+        right = right_env(right, state.sites[i], i, m, t)
     return _projection(left, right, c, m, state.sites[c].shape)
 
 
@@ -250,14 +216,14 @@ def sweep(
     check_gauge(state)
     n, m, t = state.n, state.n // 2, target.amplitudes
     cores = list(state.sites)
-    # left[i] / right[i]: the environments of site i (see the module docstring)
-    left = [_left_start(m, t)] + [None] * (n - 1)
+    # left[i] / right[i]: the environments of site i (see the mps module docstring)
+    left = [left_start(m, t)] + [None] * (n - 1)
     if carry is not None and carry.state is state and carry.target is target:
         right = list(carry.right)
     else:
         right = [None] * (n - 1) + [np.ones((1, 1))]
         for i in range(n - 1, 0, -1):
-            right[i - 1] = _right_env(right[i], cores[i], i, m, t)
+            right[i - 1] = right_env(right[i], cores[i], i, m, t)
     schedule = sweep_schedule(n)
     records: list[MetricRecord] = []
     for k, (site, direction) in enumerate(schedule, start=sweep_index * len(schedule)):
@@ -265,12 +231,12 @@ def sweep(
             shift_cores(cores, site - 1, "right")
             core = cores[site - 1]
             check_isometry(left_defect(core), f" at site {site - 1}")
-            left[site] = _left_env(left[site - 1], core, site - 1, m, t)
+            left[site] = left_env(left[site - 1], core, site - 1, m, t)
         elif direction == "L":
             shift_cores(cores, site + 1, "left")
             core = cores[site + 1]
             check_isometry(right_defect(core), f" at site {site + 1}")
-            right[site] = _right_env(right[site + 1], core, site + 1, m, t)
+            right[site] = right_env(right[site + 1], core, site + 1, m, t)
         proj = _projection(left[site], right[site], site, m, cores[site].shape)
         records.append(_closest_point(cores, site, proj, k, sweep_index, direction))
     state = MPS(sites=tuple(cores), center=0)

@@ -7,6 +7,17 @@ core carries the full norm, so a unit-norm center means the represented
 dense vector sits on the unit sphere.
 
 Operations return new MPS values; treat instances as immutable.
+
+Contracting a chain with a dense target is split at the middle bond,
+m = n // 2. The left environment of site i is the dense block of the cores
+0..i-1, shape (d**i, chi), while i < m, and the target folded through
+them, shape (chi, d**(n-i)), once i >= m. The right environment mirrors
+this: the dense block of the cores i+1..n-1 while i >= m, the folded
+target while i < m. Passing the middle bond is the one matmul that reads
+the whole target; every other step is one small matmul through one core,
+so a fold holds O(chi * d**(ceil(n/2) + 1)) numbers besides the target.
+``left_start``, ``left_env`` and ``right_env`` are these steps; the
+engine's sweep and ``overlap_dense`` are both built from them.
 """
 
 from __future__ import annotations
@@ -185,19 +196,48 @@ def mps_to_dense(state: MPS) -> DenseState:
     return DenseState(n=state.n, d=state.d, amplitudes=dense_amplitudes(state))
 
 
-def overlap_dense(state: MPS, target: DenseState) -> float:
-    """Inner product with a dense target, contracting site by site.
+def left_start(m: int, t: np.ndarray) -> np.ndarray:
+    """Left environment of site 0: the empty block, or for n = 1 the target."""
+    return np.ones((1, 1)) if m else t.reshape(1, -1)
 
-    Folds the target through the chain one core at a time, so no second
-    dense copy of the MPS is ever materialized.
+
+def left_env(env: np.ndarray, core: np.ndarray, i: int, m: int, t: np.ndarray) -> np.ndarray:
+    """Left environment of site i + 1 from that of site i and the core at i.
+
+    Reaching site m folds the target through the dense block: the one
+    matmul over the whole target.
+    """
+    l, d, r = core.shape
+    if i >= m:
+        return core.reshape(l * d, r).T @ env.reshape(l * d, -1)
+    block = (env @ core.reshape(l, d * r)).reshape(-1, r)
+    return block.T @ t.reshape(block.shape[0], -1) if i + 1 == m else block
+
+
+def right_env(env: np.ndarray, core: np.ndarray, i: int, m: int, t: np.ndarray) -> np.ndarray:
+    """Right environment of site i - 1 from that of site i and the core at i.
+
+    Reaching site m - 1 folds the target through the dense block: the one
+    matmul over the whole target.
+    """
+    l, d, r = core.shape
+    if i < m:
+        return env.reshape(-1, d * r) @ core.reshape(l, d * r).T
+    block = (core.reshape(l * d, r) @ env).reshape(l, -1)
+    return t.reshape(-1, block.shape[1]) @ block.T if i == m else block
+
+
+def overlap_dense(state: MPS, target: DenseState) -> float:
+    """Inner product with a dense target, by the left fold through all n sites.
+
+    Reads the target once, at the middle bond, and builds no array of the
+    target's size; the gauge of ``state`` does not matter.
     """
     check_dims(state, target)
-    d = state.d
-    env = target.amplitudes.reshape(1, -1)
-    for core in state.sites:
-        l, _, r = core.shape
-        rest = env.shape[1] // d
-        env = contract(core.reshape(l * d, r), [0], env.reshape(l * d, rest), [0])
+    m, t = state.n // 2, target.amplitudes
+    env = left_start(m, t)
+    for i, core in enumerate(state.sites):
+        env = left_env(env, core, i, m, t)
     return float(env[0, 0])
 
 

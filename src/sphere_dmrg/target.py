@@ -240,16 +240,21 @@ def load_target_file(path: str, n: int, d: int, kind: str | None = None) -> Dens
         counts = doc.get("counts")
         if not isinstance(counts, dict):
             raise InputError(f"field 'counts' in {path} must be an object")
-        state = state_from_counts(counts, d=file_d)
-        _check_sizes(path, state.n, state.d, n, d)
-        return state
+        if counts and file_d >= 1:  # state_from_counts refuses the rest
+            # the first key's length is the file's n: compare it with the
+            # run's before the d**n vector is built, after the guard on it
+            file_n = len(next(iter(counts)))
+            check_dense_guard(file_n, file_d)
+            _check_sizes(path, file_n, file_d, n, d)
+        return state_from_counts(counts, d=file_d)
     # before any size arithmetic, which the file's own n could make huge
     _check_sizes(path, json_int(doc.get("n"), f"field 'n' in {path}"), file_d, n, d)
     amps = number_array(doc.get("amplitudes"), f"field 'amplitudes' in {path}")
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         raise InputError(f"amplitudes in {path} have norm {norm!r}")
-    return DenseState(n=n, d=d, amplitudes=amps / norm)
+    amps /= norm
+    return DenseState(n=n, d=d, amplitudes=amps)
 
 
 def resolve_target(spec: str, n: int, d: int) -> DenseState:

@@ -1,8 +1,7 @@
 """Dense tensor kernel: sign-fixed QR and shape-checked contraction.
 
 The QR is behind every gauge move; the contraction serves only dense
-conversion and the overlap. Tensors are plain float64 numpy arrays in
-row-major (C) order.
+conversion. Tensors are plain float64 numpy arrays in row-major (C) order.
 """
 
 from __future__ import annotations

@@ -297,7 +297,7 @@ class TestSweepCarry:
     def test_train_reads_the_target_twice_per_later_sweep(self, monkeypatch):
         """Crossing the middle bond is the one step that reads the whole target."""
         crossings = []
-        left_env, right_env, sweep_fn = engine._left_env, engine._right_env, engine.sweep
+        left_env, right_env, sweep_fn = engine.left_env, engine.right_env, engine.sweep
 
         def counted_left(env, core, i, m, t):
             crossings[-1] += i + 1 == m
@@ -311,8 +311,8 @@ class TestSweepCarry:
             crossings.append(0)
             return sweep_fn(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "_left_env", counted_left)
-        monkeypatch.setattr(engine, "_right_env", counted_right)
+        monkeypatch.setattr(engine, "left_env", counted_left)
+        monkeypatch.setattr(engine, "right_env", counted_right)
         monkeypatch.setattr(engine, "sweep", counted_sweep)
         for n in (3, 5, 8):
             crossings.clear()

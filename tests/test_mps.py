@@ -1,14 +1,17 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphere_dmrg.engine import TrainConfig, train
 from sphere_dmrg.errors import InputError
 from sphere_dmrg.mps import (
     MPS,
+    dense_amplitudes,
     gauge_defect,
     gauge_to,
     left_defect,
@@ -20,7 +23,7 @@ from sphere_dmrg.mps import (
     right_defect,
     shift_center,
 )
-from sphere_dmrg.target import named_state
+from sphere_dmrg.target import named_state, resolve_target
 
 
 # any JSON value: scalars of every JSON type (with integers past float64
@@ -209,6 +212,34 @@ class TestOverlapDense:
         state = random_mps(3, 2, 2, seed=0)
         with pytest.raises(InputError):
             overlap_dense(state, named_state("uniform", 4, 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("d, name", [
+        (2, "ghz"), (2, "w"), (2, "basis"), (2, "random"), (3, "basis"), (3, "random"),
+    ])
+    def test_matches_left_to_right_dense_dot(self, n, d, name):
+        spec = {"basis": f"named:basis:{d**n // 3}", "random": "named:random:5"}
+        spec = spec.get(name, f"named:{name}")
+        target = resolve_target(spec, n, d)
+        # chi 4 is above the Schmidt rank of ghz, w and basis targets, so
+        # the fitted state has rank-deficient bonds
+        for chi in (1, 2, 4):
+            config = TrainConfig(n=n, d=d, chi=chi, seed=2, target=spec, max_sweeps=3)
+            fitted, _, _ = train(config)
+            for state in (random_mps(n, d, chi, seed=3), gauge_to(fitted, n // 2)):
+                expected = dense_amplitudes(state) @ target.amplitudes
+                assert abs(overlap_dense(state, target) - expected) <= 1e-12, (chi, state.center)
+
+    def test_no_target_sized_temporaries(self):
+        state = random_mps(16, 2, 8, seed=4)
+        target = named_state("random", 16, 2, seed=9)
+        tracemalloc.start()
+        try:
+            overlap_dense(state, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < target.amplitudes.nbytes / 4
 
 
 class TestGaugeTo:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,28 @@ class TestTargetFiles:
         ))
         with pytest.raises(InputError, match=r"run requires \(3, 2\)"):
             load_target_file(str(path), n=3, d=2)
+
+    def test_counts_key_length_checked_before_the_vector(self, tmp_path):
+        # 24-digit keys would make a 128 MiB vector for the file's own n
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"kind": "counts", "d": 2, "counts": {"0" * 24: 1}}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=r"run requires \(3, 2\)"):
+                load_target_file(str(path), n=3, d=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_amplitudes_normalized_bit_equal_to_division(self, tmp_path):
+        values = np.random.default_rng(1).standard_normal(8)
+        values = (values * (1 + 3e-7) / np.linalg.norm(values)).tolist()
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"kind": "amplitudes", "n": 3, "d": 2, "amplitudes": values}))
+        amps = np.asarray(values)
+        expected = amps / float(np.linalg.norm(amps))
+        assert load_target_file(str(path), n=3, d=2).amplitudes.tobytes() == expected.tobytes()
 
 
 class TestResolveTarget:
