@@ -185,9 +185,7 @@ def dense_amplitudes(state: MPS) -> np.ndarray:
     check_dense_guard(state.n, state.d)
     psi = np.ones((1, 1))
     for core in state.sites:
-        l, d, r = core.shape
-        psi = contract(psi, [1], core, [0])
-        psi = psi.reshape(psi.shape[0] * d, r)
+        psi = contract(psi, core).reshape(-1, core.shape[2])
     return psi.reshape(-1)
 
 

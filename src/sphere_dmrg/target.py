@@ -15,6 +15,7 @@ import json
 import math
 import numbers
 import re
+import sys
 from collections.abc import Collection
 from dataclasses import dataclass
 
@@ -95,7 +96,8 @@ def state_from_counts(counts: dict[str, int], d: int) -> DenseState:
     """Amplitude-encode an empirical distribution over digit strings.
 
     Keys are equal-length ASCII digit strings with every digit below d;
-    counts are positive numbers, read by ``number_array``.
+    counts are positive numbers, read by ``number_array``, whose sum fits
+    in a float64.
     """
     if not counts:
         raise InputError("counts map is empty")
@@ -114,6 +116,8 @@ def state_from_counts(counts: dict[str, int], d: int) -> DenseState:
     # the exact integer total keeps sqrt(count / total) bit-equal to the
     # per-key formula
     total = sum(counts.values())
+    if total > sys.float_info.max:  # exact for an int total, true for inf
+        raise InputError("counts sum past the float64 range")
     np.divide(weights, total, out=weights)
     np.sqrt(weights, out=weights)
     amps = np.zeros(d**n)
@@ -226,7 +230,8 @@ def load_target_file(path: str, n: int, d: int, kind: str | None = None) -> Dens
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+    # ValueError: bad JSON or encoding; RecursionError: nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read target file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"target file {path} does not hold a JSON object")
@@ -250,7 +255,8 @@ def load_target_file(path: str, n: int, d: int, kind: str | None = None) -> Dens
     # before any size arithmetic, which the file's own n could make huge
     _check_sizes(path, json_int(doc.get("n"), f"field 'n' in {path}"), file_d, n, d)
     amps = number_array(doc.get("amplitudes"), f"field 'amplitudes' in {path}")
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # a norm past float64 is inf, refused below
+        norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > 1e-6:
         raise InputError(f"amplitudes in {path} have norm {norm!r}")
     amps /= norm

@@ -6,51 +6,26 @@ conversion. Tensors are plain float64 numpy arrays in row-major (C) order.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ContractShapeError
 
 
-def _validate_axes(shape: tuple[int, ...], axes: Sequence[int], label: str) -> None:
-    if len(set(axes)) != len(axes):
-        raise ContractShapeError(f"duplicate axes {list(axes)} for operand {label}")
-    for ax in axes:
-        if not (0 <= ax < len(shape)):
-            raise ContractShapeError(
-                f"axis {ax} out of range for operand {label} with shape {shape}"
-            )
+def contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Contract the last axis of ``a`` with the first axis of ``b``.
 
-
-def contract(
-    a: np.ndarray,
-    axes_a: Sequence[int],
-    b: np.ndarray,
-    axes_b: Sequence[int],
-) -> np.ndarray:
-    """Contract ``a`` and ``b`` over the paired axes.
-
-    Output axes are the free axes of ``a`` (in order) followed by the free
-    axes of ``b`` (in order). Contracting every axis of both operands
-    yields a 0-d array.
+    Output axes are the other axes of ``a`` followed by the other axes of
+    ``b``: one reshape and one matmul.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if len(axes_a) != len(axes_b):
+    if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[0]:
         raise ContractShapeError(
-            f"axis lists differ in length: {list(axes_a)} vs {list(axes_b)}"
+            f"last axis of shape {a.shape} does not match first axis of shape {b.shape}"
         )
-    _validate_axes(a.shape, axes_a, "a")
-    _validate_axes(b.shape, axes_b, "b")
-    for ax_a, ax_b in zip(axes_a, axes_b):
-        if a.shape[ax_a] != b.shape[ax_b]:
-            raise ContractShapeError(
-                f"paired axes {ax_a}/{ax_b} have lengths "
-                f"{a.shape[ax_a]} != {b.shape[ax_b]} "
-                f"(shapes {a.shape} and {b.shape})"
-            )
-    return np.tensordot(a, b, axes=(list(axes_a), list(axes_b)))
+    k = b.shape[0]
+    out = a.reshape(-1, k) @ b.reshape(k, -1)
+    return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
 def qr_orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -124,15 +124,27 @@ class TestRunCommand:
         "counts:{tmp}/string_count.json",
         "counts:{tmp}/bad_digit.json",
         "file:{tmp}/bool_amplitudes.json",
+        "file:{tmp}/deep.json",
+        "counts:{tmp}/deep.json",
+        "counts:{tmp}/int_counts_past_float64.json",
+        "counts:{tmp}/float_counts_past_float64.json",
+        "file:{tmp}/norm_past_float64.json",
     ])
     def test_malformed_target_exit_2(self, tmp_path, capsys, spec):
         (tmp_path / "truncated.json").write_text('{"kind": "counts", "d": 2, "cou')
+        (tmp_path / "deep.json").write_text("[" * 200_000)
         for name, doc in [
             ("no_d", {"kind": "counts", "counts": {"000": 1}}),
             ("string_count", {"kind": "counts", "d": 2, "counts": {"000": "3"}}),
             ("bad_digit", {"kind": "counts", "d": 2, "counts": {"0a0": 1}}),
             ("bool_amplitudes", {"kind": "amplitudes", "n": 3, "d": 2,
                                  "amplitudes": [True] + [False] * 7}),
+            ("int_counts_past_float64", {"kind": "counts", "d": 2,
+                                         "counts": {"011": 10**308, "100": 10**308}}),
+            ("float_counts_past_float64", {"kind": "counts", "d": 2,
+                                           "counts": {"011": 1e308, "100": 1e308}}),
+            ("norm_past_float64", {"kind": "amplitudes", "n": 3, "d": 2,
+                                   "amplitudes": [1e200] * 8}),
         ]:
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         code = run(tmp_path, "--target", spec.format(tmp=tmp_path))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -190,6 +191,22 @@ class TestMpsToDense:
         for seed in range(5):
             amps = mps_to_dense(random_mps(5, 2, 4, seed=seed)).amplitudes
             assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("chi", [1, 2, 4])
+    def test_amplitudes_are_products_of_core_slices(self, d, chi):
+        """Amplitude of i0...i_{n-1} = sites[0][:, i0, :] @ ... @ sites[n-1][:, i_{n-1}, :]."""
+        for n in range(1, 7):
+            base = random_mps(n, d, chi, seed=100 * n + 10 * d + chi)
+            for center in sorted({0, n - 1}):
+                state = gauge_to(base, center)
+                amps = dense_amplitudes(state)
+                assert amps.shape == (d**n,)
+                for index, digits in enumerate(itertools.product(range(d), repeat=n)):
+                    block = np.eye(1)
+                    for core, i in zip(state.sites, digits):
+                        block = block @ core[:, i, :]
+                    np.testing.assert_allclose(amps[index], block[0, 0], rtol=0, atol=1e-14)
 
 
 class TestOverlapDense:

@@ -66,6 +66,11 @@ class TestStateFromCounts:
         with pytest.raises(InputError):
             state_from_counts({"0": 0, "1": 2}, d=2)
 
+    @pytest.mark.parametrize("count", [pytest.param(10**308, id="int"), pytest.param(1e308, id="float")])
+    def test_sum_past_float64_rejected(self, count):
+        with pytest.raises(InputError, match="counts sum past the float64 range"):
+            state_from_counts({"01": count, "10": count}, d=2)
+
     @given(
         counts=st.dictionaries(
             st.text(alphabet="01", min_size=3, max_size=3),
@@ -335,6 +340,9 @@ class TestResolveTarget:
         pytest.param('{"kind": "counts", "d": 2, "counts": {"00": 1%s}}' % ("0" * 400),
                      id="count-past-float64"),
         '["counts"]',
+        pytest.param('{"kind": "amplitudes", "n": 2, "d": 2, "amplitudes": [1e200, 1e200, 0, 0]}',
+                     id="norm-past-float64"),
+        pytest.param("[" * 200_000, id="nested-past-recursion-limit"),
     ])
     @pytest.mark.parametrize("prefix", ["file:", "counts:"])
     def test_malformed_file(self, tmp_path, prefix, text):

@@ -11,82 +11,67 @@ from conftest import loop_contract
 
 class TestContract:
     def test_identity_contraction(self):
-        out = contract(np.eye(2), [1], np.array([3.0, 7.0]), [0])
+        out = contract(np.eye(2), np.array([3.0, 7.0]))
         np.testing.assert_array_equal(out, [3.0, 7.0])
 
     def test_dot_product_scalar(self):
-        out = contract(np.array([1.0, 2.0]), [0], np.array([3.0, 4.0]), [0])
+        out = contract(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
         assert out.shape == ()
         assert float(out) == 11.0
 
     def test_seeded_232_against_loop_oracle(self):
         rng = np.random.default_rng(42)
-        a = rng.standard_normal((2, 3, 2))
+        a = rng.standard_normal((2, 2, 3))
         b = rng.standard_normal((3, 2))
-        out = contract(a, [1], b, [0])
-        expected = loop_contract(a, [1], b, [0])
+        out = contract(a, b)
+        expected = loop_contract(a, [2], b, [0])
         np.testing.assert_allclose(out, expected, atol=1e-13)
-
-    def test_contract_all_axes_gives_scalar(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((2, 3))
-        b = rng.standard_normal((3, 2))
-        out = contract(a, [0, 1], b, [1, 0])
-        assert out.shape == ()
-        np.testing.assert_allclose(float(out), float(loop_contract(a, [0, 1], b, [1, 0])))
 
     def test_output_axis_order(self):
         rng = np.random.default_rng(1)
-        a = rng.standard_normal((2, 3, 4))
-        b = rng.standard_normal((3, 5))
-        out = contract(a, [1], b, [0])
-        assert out.shape == (2, 4, 5)
+        a = rng.standard_normal((2, 4, 3))
+        b = rng.standard_normal((3, 5, 6))
+        out = contract(a, b)
+        assert out.shape == (2, 4, 5, 6)
 
     @pytest.mark.parametrize(
-        "axes_a, axes_b",
+        "shape_a, shape_b",
         [
-            ([0], [0, 1]),      # length mismatch
-            ([5], [0]),         # out of range
-            ([0, 0], [0, 1]),   # duplicate
-            ([1], [1]),         # paired lengths differ
+            ((2, 3), (2, 3)),   # paired lengths differ
+            ((), (3, 2)),       # no last axis
+            ((2, 3), ()),       # no first axis
         ],
     )
-    def test_bad_axes_raise(self, axes_a, axes_b):
-        a = np.zeros((2, 3))
-        b = np.zeros((3, 2))
+    def test_bad_shapes_raise(self, shape_a, shape_b):
         with pytest.raises(ContractShapeError):
-            contract(a, axes_a, b, axes_b)
+            contract(np.zeros(shape_a), np.zeros(shape_b))
 
     def test_error_names_shapes(self):
         with pytest.raises(ContractShapeError, match=r"\(2, 3\)"):
-            contract(np.zeros((2, 3)), [1], np.zeros((3, 2)), [1])
+            contract(np.zeros((2, 3)), np.zeros((2, 3)))
 
     @given(alpha=st.floats(-10, 10, allow_nan=False), seed=st.integers(0, 10**6))
     def test_bilinearity(self, alpha, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 2))
-        lhs = contract(alpha * a, [1], b, [0])
-        rhs = alpha * contract(a, [1], b, [0])
+        lhs = contract(alpha * a, b)
+        rhs = alpha * contract(a, b)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12 * max(1.0, abs(alpha)))
 
     def test_small_shape_sweep_against_loop_oracle(self):
-        # ranks up to 4, axis lengths up to 4, seeded pairings
+        # ranks up to 4, axis lengths up to 4, seeded shapes
         rng = np.random.default_rng(7)
         for rank_a in range(1, 5):
             for rank_b in range(1, 5):
                 for _ in range(4):
-                    k = int(rng.integers(1, min(rank_a, rank_b) + 1))
-                    axes_a = list(rng.choice(rank_a, size=k, replace=False))
-                    axes_b = list(rng.choice(rank_b, size=k, replace=False))
                     shape_a = list(rng.integers(1, 5, size=rank_a))
                     shape_b = list(rng.integers(1, 5, size=rank_b))
-                    for pa, pb in zip(axes_a, axes_b):
-                        shape_b[pb] = shape_a[pa]
+                    shape_b[0] = shape_a[-1]
                     a = rng.standard_normal(shape_a)
                     b = rng.standard_normal(shape_b)
-                    out = contract(a, axes_a, b, axes_b)
-                    expected = loop_contract(a, axes_a, b, axes_b)
+                    out = contract(a, b)
+                    expected = loop_contract(a, [rank_a - 1], b, [0])
                     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
