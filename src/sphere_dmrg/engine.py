@@ -21,6 +21,13 @@ An update whose projection norm is at or below ``STALL_EPS`` stalls: it
 keeps the state and records the overlap the state already has, which lies
 in the single-site subspace and so is read off the projection coefficients
 without another pass over the target.
+
+Moving the center splits the old center core into an isometry and a
+triangular gauge factor t (``mps.split_core``). The projection reads only
+the two environments, not the new center core, and an update that does not
+stall overwrites that core. So the sweep keeps t and multiplies it into
+the new center (``mps.absorb_factor``) only when the update stalls; the
+states and records are the same as with ``mps.shift_cores``.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import numpy as np
 from .errors import InputError
 from .mps import (
     MPS,
+    absorb_factor,
     check_dims,
     check_gauge,
     check_isometry,
@@ -42,7 +50,7 @@ from .mps import (
     random_mps,
     right_defect,
     right_env,
-    shift_cores,
+    split_core,
 )
 from .mps import shift_center  # noqa: F401  (perfbench/layers.py wraps engine.shift_center)
 from .target import DenseState, resolve_target
@@ -208,7 +216,9 @@ def sweep(
     twice. Otherwise it folds the right environments from the chain end
     first and reads the target three times. The whole gauge is checked
     once at the start; after that only the isometry each gauge shift
-    produces can change, and it is checked right after its shift.
+    produces can change, and it is checked right after its shift. A shift
+    keeps its gauge factor and applies it to the new center only when the
+    update there stalls (see the module docstring).
     """
     if state.center != 0:
         raise InputError(f"sweep requires center 0, got {state.center}")
@@ -226,18 +236,22 @@ def sweep(
             right[i - 1] = right_env(right[i], cores[i], i, m, t)
     schedule = sweep_schedule(n)
     records: list[MetricRecord] = []
+    factor = None  # the gauge factor the center core is owed by the last shift
     for k, (site, direction) in enumerate(schedule, start=sweep_index * len(schedule)):
         if direction == "R" and site > 0:
-            shift_cores(cores, site - 1, "right")
-            core = cores[site - 1]
-            check_isometry(left_defect(core), f" at site {site - 1}")
+            core, factor = split_core(cores[site - 1], "right")
+            cores[site - 1] = core
+            check_isometry(left_defect(core), site - 1)
             left[site] = left_env(left[site - 1], core, site - 1, m, t)
         elif direction == "L":
-            shift_cores(cores, site + 1, "left")
-            core = cores[site + 1]
-            check_isometry(right_defect(core), f" at site {site + 1}")
+            core, factor = split_core(cores[site + 1], "left")
+            cores[site + 1] = core
+            check_isometry(right_defect(core), site + 1)
             right[site] = right_env(right[site + 1], core, site + 1, m, t)
         proj = _projection(left[site], right[site], site, m, cores[site].shape)
+        if proj.norm <= STALL_EPS and factor is not None:
+            side = "right" if direction == "R" else "left"
+            cores[site] = absorb_factor(cores[site], factor, side)
         records.append(_closest_point(cores, site, proj, k, sweep_index, direction))
     state = MPS(sites=tuple(cores), center=0)
     return state, records, SweepCarry(state=state, target=target, right=tuple(right))

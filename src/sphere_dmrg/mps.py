@@ -77,9 +77,13 @@ def _validate_chain(sites) -> None:
 
 
 def _identity_defect(gram: np.ndarray) -> float:
-    """Largest entry of |gram - I|, computed in place in ``gram``."""
-    gram.flat[:: gram.shape[0] + 1] -= 1.0
-    return float(np.max(np.abs(gram, out=gram)))
+    """Largest entry of |gram - I|, computed in place in ``gram``.
+
+    ``gram`` is a fresh matmul product, so its flat view is contiguous.
+    """
+    flat = gram.reshape(-1)
+    flat[:: gram.shape[0] + 1] -= 1.0
+    return float(np.abs(flat, out=flat).max())
 
 
 def left_defect(core: np.ndarray) -> float:
@@ -104,9 +108,13 @@ def gauge_defect(state: MPS) -> float:
     return float(np.max(defects, initial=0.0))
 
 
-def check_isometry(defect: float, where: str = "") -> None:
-    """Raise GaugeError unless ``defect`` is at most ``GAUGE_TOL`` (NaN fails)."""
+def check_isometry(defect: float, site: int | None = None) -> None:
+    """Raise GaugeError unless ``defect`` is at most ``GAUGE_TOL`` (NaN fails).
+
+    The message names ``site`` when one is given.
+    """
     if not defect <= GAUGE_TOL:
+        where = "" if site is None else f" at site {site}"
         raise GaugeError(f"isometry defect {defect:.3e}{where} exceeds {GAUGE_TOL:g}")
 
 
@@ -134,32 +142,53 @@ def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
     return MPS(sites=tuple(sites), center=0)
 
 
+def split_core(core: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
+    """QR-split a center core into an isometry core and its gauge factor t.
+
+    ``"right"`` returns a left isometry q with core = q @ t, both read as
+    (l*d, r) matrices, so t belongs to the left bond of the next core.
+    ``"left"`` returns a right isometry q with core = t.T @ q, both read as
+    (l, d*r) matrices, so t.T belongs to the right bond of the previous
+    core. ``absorb_factor`` multiplies t in. The QR is not rank-checked:
+    when the state's Schmidt rank at the bond is below the bond dimension,
+    q is still an isometry and the split is still exact.
+    """
+    l, d, r = core.shape
+    if direction == "right":
+        q, t = qr_orthonormalize(core.reshape(l * d, r))
+        return q.reshape(l, d, r), t
+    if direction == "left":
+        q, t = qr_orthonormalize(core.reshape(l, d * r).T)
+        return q.T.reshape(l, d, r), t
+    raise InputError(f"direction must be 'left' or 'right', got {direction!r}")
+
+
+def absorb_factor(core: np.ndarray, t: np.ndarray, direction: str) -> np.ndarray:
+    """Multiply the factor t of a neighbour's ``split_core`` in ``direction`` into ``core``.
+
+    After a right split t multiplies the left bond of ``core``, after a
+    left split t.T multiplies its right bond.
+    """
+    if direction == "right":
+        return (t @ core.reshape(t.shape[0], -1)).reshape(core.shape)
+    return (core.reshape(-1, t.shape[0]) @ t.T).reshape(core.shape)
+
+
 def shift_cores(cores: list[np.ndarray], j: int, direction: str) -> int:
     """Move the center of ``cores`` from site j one site left or right, in place.
 
-    Returns the new center; the represented state does not change. The QR
-    is not rank-checked: when the state's Schmidt rank at the bond is below
-    the bond dimension, the factor is still an isometry and the move is
-    still exact.
+    Splits site j with ``split_core`` and absorbs its factor into the
+    neighbour, which becomes the center. Returns the new center; the
+    represented state does not change.
     """
-    l, d, r = cores[j].shape
-    if direction == "right":
-        if j == len(cores) - 1:
-            raise InputError("cannot shift right at the last site")
-        q, t = qr_orthonormalize(cores[j].reshape(l * d, r))
-        cores[j] = q.reshape(l, d, r)
-        nxt = cores[j + 1]
-        cores[j + 1] = (t @ nxt.reshape(r, -1)).reshape(nxt.shape)
-        return j + 1
-    if direction == "left":
-        if j == 0:
-            raise InputError("cannot shift left at site 0")
-        q, t = qr_orthonormalize(cores[j].reshape(l, d * r).T)
-        cores[j] = q.T.reshape(l, d, r)
-        prev = cores[j - 1]
-        cores[j - 1] = (prev.reshape(-1, l) @ t.T).reshape(prev.shape)
-        return j - 1
-    raise InputError(f"direction must be 'left' or 'right', got {direction!r}")
+    if direction == "right" and j == len(cores) - 1:
+        raise InputError("cannot shift right at the last site")
+    if direction == "left" and j == 0:
+        raise InputError("cannot shift left at site 0")
+    cores[j], t = split_core(cores[j], direction)
+    k = j + 1 if direction == "right" else j - 1
+    cores[k] = absorb_factor(cores[k], t, direction)
+    return k
 
 
 def shift_center(state: MPS, direction: str) -> MPS:

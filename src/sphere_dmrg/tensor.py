@@ -45,7 +45,7 @@ def qr_orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if r < c:
         raise ContractShapeError(f"need rows >= cols, got shape {m.shape}")
     q, t = np.linalg.qr(m)
-    signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
+    signs = np.where(t.diagonal() < 0.0, -1.0, 1.0)
     q *= signs
     t *= signs[:, None]
     return q, t

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sphere_dmrg import engine
+from sphere_dmrg import engine, mps
 from sphere_dmrg.engine import (
     STALL_EPS,
     TrainConfig,
@@ -259,6 +259,78 @@ class TestSweepFold:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             sweep(random_mps(3, 2, 2, seed=0), named_state("uniform", 4, 2), 0)
+
+
+class TestSweepGaugeFactor:
+    """A shift keeps its gauge factor and applies it only when the next update stalls."""
+
+    @pytest.mark.parametrize("n, d, chi", [(4, 2, 2), (6, 2, 4), (7, 3, 5), (10, 2, 16)])
+    def test_stalls_match_update_replay_bitwise(self, monkeypatch, n, d, chi):
+        target = named_state("random", n, d, seed=100 + n)
+        schedule = sweep_schedule(n)
+        mid_sweep_stalls = 0
+        for eps in (0.1, 0.3, 0.6):
+            # a share of the updates stall, most of them after a shift whose
+            # factor is not the identity
+            monkeypatch.setattr(engine, "STALL_EPS", eps)
+            state = replay = random_mps(n, d, chi, seed=n + chi)
+            carry = None
+            for k in range(2):
+                state, records, carry = sweep(state, target, k, carry)
+                for rec, (site, _) in zip(records, schedule):
+                    replay, expected = optimal_update(gauge_to(replay, site), target)
+                    assert (rec.overlap, rec.stalled) == (expected.overlap, expected.stalled), (
+                        eps, rec,
+                    )
+                    mid_sweep_stalls += rec.stalled and rec.step % len(schedule) > 0
+                assert [c.tobytes() for c in state.sites] == [
+                    c.tobytes() for c in replay.sites
+                ], (eps, k)
+        assert mid_sweep_stalls > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_one_qr_per_shift_on_the_wrapped_lookup(self, monkeypatch, n):
+        state = random_mps(n, 2, 3, seed=n)
+        target = named_state("random", n, 2, seed=n + 1)
+        calls = []
+        qr = mps.qr_orthonormalize
+
+        def counted_qr(m):
+            calls.append(m.shape)
+            return qr(m)
+
+        monkeypatch.setattr(mps, "qr_orthonormalize", counted_qr)
+        sweep(state, target, 0)
+        assert len(calls) == 2 * n - 2
+
+    @staticmethod
+    def broken_from_call(monkeypatch, first_bad):
+        """Make QR call number ``first_bad`` (counted from 1) and later ones return 2 q."""
+        calls = []
+        qr = mps.qr_orthonormalize
+
+        def doubled_qr(m):
+            calls.append(None)
+            q, t = qr(m)
+            return (2.0 * q if len(calls) >= first_bad else q), t
+
+        monkeypatch.setattr(mps, "qr_orthonormalize", doubled_qr)
+
+    def test_failed_right_shift_names_its_site(self, monkeypatch):
+        state = random_mps(4, 2, 2, seed=3)
+        target = named_state("random", 4, 2, seed=4)
+        self.broken_from_call(monkeypatch, 1)
+        with pytest.raises(GaugeError, match=r"^isometry defect \S+ at site 0 exceeds 1e-08$"):
+            sweep(state, target, 0)
+
+    def test_failed_left_shift_names_its_site(self, monkeypatch):
+        n = 4
+        state = random_mps(n, 2, 2, seed=3)
+        target = named_state("random", n, 2, seed=4)
+        # the R half-sweep makes n - 1 good shifts; the first L shift leaves site n - 1
+        self.broken_from_call(monkeypatch, n)
+        with pytest.raises(GaugeError, match=rf"^isometry defect \S+ at site {n - 1} exceeds 1e-08$"):
+            sweep(state, target, 0)
 
 
 def assert_same_sweep(a, b):

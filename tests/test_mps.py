@@ -12,6 +12,7 @@ from sphere_dmrg.engine import TrainConfig, train
 from sphere_dmrg.errors import InputError
 from sphere_dmrg.mps import (
     MPS,
+    absorb_factor,
     dense_amplitudes,
     gauge_defect,
     gauge_to,
@@ -23,6 +24,8 @@ from sphere_dmrg.mps import (
     random_mps,
     right_defect,
     shift_center,
+    shift_cores,
+    split_core,
 )
 from sphere_dmrg.target import named_state, resolve_target
 
@@ -151,6 +154,47 @@ class TestShiftCenter:
     def test_bad_direction(self):
         with pytest.raises(InputError):
             shift_center(random_mps(3, 2, 2, seed=0), "up")
+
+    @staticmethod
+    def shifted_by_formula(cores, j, direction):
+        """The cores after one shift, by the QR-and-matmul formula written out."""
+        cores = list(cores)
+        l, d, r = cores[j].shape
+        if direction == "right":
+            q, t = np.linalg.qr(cores[j].reshape(l * d, r))
+            signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
+            cores[j] = (q * signs).reshape(l, d, r)
+            nxt = cores[j + 1]
+            cores[j + 1] = ((t * signs[:, None]) @ nxt.reshape(r, -1)).reshape(nxt.shape)
+        else:
+            q, t = np.linalg.qr(cores[j].reshape(l, d * r).T)
+            signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
+            cores[j] = (q * signs).T.reshape(l, d, r)
+            prev = cores[j - 1]
+            cores[j - 1] = (prev.reshape(-1, l) @ (t * signs[:, None]).T).reshape(prev.shape)
+        return cores
+
+    @pytest.mark.parametrize("direction", ["right", "left"])
+    @pytest.mark.parametrize("kind", ["random", "zero column", "equal columns"])
+    def test_split_then_absorb_is_the_shift(self, direction, kind):
+        rng = np.random.default_rng(17)
+        cores = [rng.standard_normal(shape) for shape in ((2, 2, 3), (3, 2, 3), (3, 2, 2))]
+        # the columns of the matrix the QR sees: right bonds for a right
+        # split, left bonds for a left split
+        columns = np.moveaxis(cores[1], 2 if direction == "right" else 0, 0)
+        if kind == "zero column":
+            columns[1] = 0.0
+        elif kind == "equal columns":
+            columns[2] = columns[0]
+        expected = self.shifted_by_formula(cores, 1, direction)
+        k = 2 if direction == "right" else 0
+        shifted = list(cores)
+        assert shift_cores(shifted, 1, direction) == k
+        q, t = split_core(cores[1], direction)
+        split = [q, absorb_factor(cores[k], t, direction)]
+        for got in ([shifted[1], shifted[k]], split):
+            assert [c.shape for c in got] == [expected[1].shape, expected[k].shape]
+            assert [c.tobytes() for c in got] == [expected[1].tobytes(), expected[k].tobytes()]
 
     @given(seed=st.integers(0, 1000), moves=st.lists(st.booleans(), max_size=12))
     @settings(max_examples=40, deadline=None)

@@ -119,3 +119,30 @@ class TestQROrthonormalize:
         np.testing.assert_allclose(q @ t, m, atol=1e-12)
         np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-12)
         assert np.all(np.diagonal(t) >= 0)
+
+    @staticmethod
+    def sign_fixed_by_formula(m):
+        """The sign fix written out with ``np.diagonal``, for byte comparison."""
+        q, t = np.linalg.qr(m)
+        signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
+        q *= signs
+        t *= signs[:, None]
+        return q, t
+
+    @pytest.mark.parametrize("kind", ["random", "zero column", "equal columns", "all zero"])
+    def test_matches_sign_fix_formula_bytes(self, kind):
+        rng = np.random.default_rng(29)
+        for rows in range(1, 33):
+            for cols in sorted({1, min(2, rows), (rows + 1) // 2, rows}):
+                m = rng.standard_normal((rows, cols))
+                if kind == "zero column":
+                    m[:, cols // 2] = 0.0
+                elif kind == "equal columns":
+                    m[:, -1] = m[:, 0]
+                elif kind == "all zero":
+                    m[:] = 0.0
+                q, t = qr_orthonormalize(m)
+                q_ref, t_ref = self.sign_fixed_by_formula(m.copy())
+                assert (q.tobytes(), t.tobytes()) == (q_ref.tobytes(), t_ref.tobytes()), (
+                    kind, rows, cols,
+                )
