@@ -288,38 +288,32 @@ class TestSweepGaugeFactor:
                 ], (eps, k)
         assert mid_sweep_stalls > 0
 
+    @staticmethod
+    def wrap_qr(monkeypatch, doubled_from=math.inf):
+        """Count calls of the wrapped QR lookup; from call ``doubled_from`` on, return 2 q."""
+        calls = []
+        qr = mps.qr_orthonormalize
+
+        def wrapped(m):
+            calls.append(None)
+            q, t = qr(m)
+            return (2.0 * q if len(calls) >= doubled_from else q), t
+
+        monkeypatch.setattr(mps, "qr_orthonormalize", wrapped)
+        return calls
+
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_one_qr_per_shift_on_the_wrapped_lookup(self, monkeypatch, n):
         state = random_mps(n, 2, 3, seed=n)
         target = named_state("random", n, 2, seed=n + 1)
-        calls = []
-        qr = mps.qr_orthonormalize
-
-        def counted_qr(m):
-            calls.append(m.shape)
-            return qr(m)
-
-        monkeypatch.setattr(mps, "qr_orthonormalize", counted_qr)
+        calls = self.wrap_qr(monkeypatch)
         sweep(state, target, 0)
         assert len(calls) == 2 * n - 2
-
-    @staticmethod
-    def broken_from_call(monkeypatch, first_bad):
-        """Make QR call number ``first_bad`` (counted from 1) and later ones return 2 q."""
-        calls = []
-        qr = mps.qr_orthonormalize
-
-        def doubled_qr(m):
-            calls.append(None)
-            q, t = qr(m)
-            return (2.0 * q if len(calls) >= first_bad else q), t
-
-        monkeypatch.setattr(mps, "qr_orthonormalize", doubled_qr)
 
     def test_failed_right_shift_names_its_site(self, monkeypatch):
         state = random_mps(4, 2, 2, seed=3)
         target = named_state("random", 4, 2, seed=4)
-        self.broken_from_call(monkeypatch, 1)
+        self.wrap_qr(monkeypatch, doubled_from=1)
         with pytest.raises(GaugeError, match=r"^isometry defect \S+ at site 0 exceeds 1e-08$"):
             sweep(state, target, 0)
 
@@ -328,8 +322,9 @@ class TestSweepGaugeFactor:
         state = random_mps(n, 2, 2, seed=3)
         target = named_state("random", n, 2, seed=4)
         # the R half-sweep makes n - 1 good shifts; the first L shift leaves site n - 1
-        self.broken_from_call(monkeypatch, n)
-        with pytest.raises(GaugeError, match=rf"^isometry defect \S+ at site {n - 1} exceeds 1e-08$"):
+        self.wrap_qr(monkeypatch, doubled_from=n)
+        message = rf"^isometry defect \S+ at site {n - 1} exceeds 1e-08$"
+        with pytest.raises(GaugeError, match=message):
             sweep(state, target, 0)
 
 
