@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -15,6 +16,7 @@ from .mps import mps_to_json_dict
 from .verify import oracle_check
 
 CSV_HEADER = "step,sweep,site,direction,overlap,angle,distance,stalled"
+OUTPUT_FILES = ("trajectory.csv", "final_mps.json", "summary.json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,16 +44,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+def _write_outputs(out: str, texts: tuple[str, ...]) -> None:
+    """Write ``texts`` into ``out`` as ``OUTPUT_FILES``, each atomically.
+
+    Every text goes to a temporary file first, and only then is each one
+    renamed into place. An ``OSError`` raises ``InputError``; temporary
+    files that were not renamed are removed.
+    """
+    pending = []  # temporary files not yet renamed into place
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        for text in texts:
+            fd, tmp = tempfile.mkstemp(dir=out, prefix=".tmp-")
+            pending.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+        for name in OUTPUT_FILES:
+            os.replace(pending[0], os.path.join(out, name))
+            pending.pop(0)
+    except OSError as exc:
+        raise InputError(f"cannot write output directory {out!r}: {exc}") from exc
+    finally:
+        for tmp in pending:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _csv_row(r: MetricRecord) -> str:
@@ -105,6 +120,9 @@ def _run(args) -> int:
         raise InputError(
             f"output directory {out!r} is not empty (pass --force to overwrite)"
         )
+    for path in (os.path.join(out, name) for name in OUTPUT_FILES):
+        if os.path.isdir(path):
+            raise InputError(f"output path {path!r} is a directory")
 
     start = time.monotonic()
     state, trajectory, reason = train(config)
@@ -133,9 +151,7 @@ def _run(args) -> int:
         summary_json = json.dumps(summary, indent=2, allow_nan=False)
     except ValueError as exc:
         raise SphereDMRGError(str(exc)) from exc
-    _atomic_write(os.path.join(out, "trajectory.csv"), "\n".join(rows) + "\n")
-    _atomic_write(os.path.join(out, "final_mps.json"), mps_json + "\n")
-    _atomic_write(os.path.join(out, "summary.json"), summary_json + "\n")
+    _write_outputs(out, ("\n".join(rows) + "\n", mps_json + "\n", summary_json + "\n"))
     return 0
 
 

@@ -28,6 +28,15 @@ the two environments, not the new center core, and an update that does not
 stall overwrites that core. So the sweep keeps t and multiplies it into
 the new center (``mps.absorb_factor``) only when the update stalls; the
 states and records are the same as with ``mps.shift_cores``.
+
+Every core a shift makes is checked for isometry right after the shift
+(``mps.check_isometry``). ``sweep`` checks the whole gauge
+(``mps.check_gauge``) only of a state that a sweep did not return itself.
+Handed back the carry of the state it returned, it skips that check: each
+non-center core of that state was made, and checked, by a shift of that
+sweep, and nothing wrote to it afterwards. Handing back a carry asserts
+that its state's cores are unchanged, which its right environments assume
+anyway.
 """
 
 from __future__ import annotations
@@ -107,8 +116,10 @@ def sweep_schedule(n: int) -> list[tuple[int, str]]:
     return [(i, "R") for i in range(n)] + [(i, "L") for i in range(n - 2, -1, -1)]
 
 
-def _projection(left: np.ndarray, right: np.ndarray, i: int, m: int, shape) -> ProjectionTensor:
-    """Projection coefficients at site i from its two environments."""
+def _projection(
+    left: np.ndarray, right: np.ndarray, i: int, m: int, shape
+) -> tuple[np.ndarray, float]:
+    """Projection coefficients at site i and their norm, from its two environments."""
     l, d, r = shape
     if i < m:
         coeffs = (left.T @ right.reshape(left.shape[0], d * r)).reshape(l, d, r)
@@ -116,7 +127,7 @@ def _projection(left: np.ndarray, right: np.ndarray, i: int, m: int, shape) -> P
         coeffs = (left.reshape(l * d, -1) @ right.T).reshape(l, d, r)
     flat = coeffs.reshape(-1)
     # the value np.linalg.norm computes, without its dispatch overhead
-    return ProjectionTensor(coeffs=coeffs, norm=math.sqrt(flat @ flat))
+    return coeffs, math.sqrt(flat @ flat)
 
 
 def compute_projection_tensor(state: MPS, target: DenseState) -> ProjectionTensor:
@@ -134,26 +145,27 @@ def compute_projection_tensor(state: MPS, target: DenseState) -> ProjectionTenso
     right = np.ones((1, 1))
     for i in range(n - 1, c, -1):
         right = right_env(right, state.sites[i], i, m, t)
-    return _projection(left, right, c, m, state.sites[c].shape)
+    return ProjectionTensor(*_projection(left, right, c, m, state.sites[c].shape))
 
 
 def _closest_point(
     cores: list[np.ndarray],
     site: int,
-    proj: ProjectionTensor,
+    coeffs: np.ndarray,
+    norm: float,
     step: int,
     sweep_index: int,
     direction: str,
 ) -> MetricRecord:
     """Set the center ``cores[site]`` to the normalized projection and record the step."""
-    if proj.norm <= STALL_EPS:
+    if norm <= STALL_EPS:
         # the state lies in the subspace, so its overlap is its center's
         # inner product with the projection coefficients
-        overlap = float(np.vdot(cores[site], proj.coeffs))
+        overlap = float(np.vdot(cores[site], coeffs))
         stalled = True
     else:
-        cores[site] = proj.coeffs / proj.norm
-        overlap = proj.norm
+        cores[site] = coeffs / norm
+        overlap = norm
         stalled = False
     return MetricRecord(
         step=step,
@@ -180,7 +192,7 @@ def optimal_update(state: MPS, target: DenseState) -> tuple[MPS, MetricRecord]:
     """
     proj = compute_projection_tensor(state, target)
     sites = list(state.sites)
-    record = _closest_point(sites, state.center, proj, 0, 0, "R")
+    record = _closest_point(sites, state.center, proj.coeffs, proj.norm, 0, 0, "R")
     if record.stalled:
         return state, record
     return replace(state, sites=tuple(sites)), record
@@ -191,7 +203,9 @@ class SweepCarry:
     """The right environments of ``state`` against ``target``.
 
     ``sweep`` returns one for the state it returns; handed back with that
-    very state and target, it replaces the next sweep's opening right fold.
+    very state and target, it replaces the next sweep's opening right fold
+    and its whole-gauge check. Handing it back asserts that the cores of
+    ``state`` are unchanged since that sweep checked each one.
     """
 
     state: MPS
@@ -213,24 +227,26 @@ def sweep(
     environments are carried from step to step (see the module docstring).
     ``carry`` is used only if its state and target are the very objects
     passed here, as ``train`` passes them; the sweep then reads the target
-    twice. Otherwise it folds the right environments from the chain end
-    first and reads the target three times. The whole gauge is checked
-    once at the start; after that only the isometry each gauge shift
-    produces can change, and it is checked right after its shift. A shift
-    keeps its gauge factor and applies it to the new center only when the
-    update there stalls (see the module docstring).
+    twice and skips the whole-gauge check, because that sweep checked each
+    core of the state it returned when a shift made it. Otherwise it checks
+    the whole gauge, folds the right environments from the chain end and
+    reads the target three times. After that only the isometry each gauge
+    shift produces can change, and it is checked right after its shift. A
+    shift keeps its gauge factor and applies it to the new center only when
+    the update there stalls (see the module docstring).
     """
     if state.center != 0:
         raise InputError(f"sweep requires center 0, got {state.center}")
     check_dims(state, target)
-    check_gauge(state)
     n, m, t = state.n, state.n // 2, target.amplitudes
     cores = list(state.sites)
     # left[i] / right[i]: the environments of site i (see the mps module docstring)
     left = [left_start(m, t)] + [None] * (n - 1)
     if carry is not None and carry.state is state and carry.target is target:
+        # the sweep that returned state checked each of its isometries
         right = list(carry.right)
     else:
+        check_gauge(state)
         right = [None] * (n - 1) + [np.ones((1, 1))]
         for i in range(n - 1, 0, -1):
             right[i - 1] = right_env(right[i], cores[i], i, m, t)
@@ -248,11 +264,11 @@ def sweep(
             cores[site + 1] = core
             check_isometry(right_defect(core), site + 1)
             right[site] = right_env(right[site + 1], core, site + 1, m, t)
-        proj = _projection(left[site], right[site], site, m, cores[site].shape)
-        if proj.norm <= STALL_EPS and factor is not None:
+        coeffs, norm = _projection(left[site], right[site], site, m, cores[site].shape)
+        if norm <= STALL_EPS and factor is not None:
             side = "right" if direction == "R" else "left"
             cores[site] = absorb_factor(cores[site], factor, side)
-        records.append(_closest_point(cores, site, proj, k, sweep_index, direction))
+        records.append(_closest_point(cores, site, coeffs, norm, k, sweep_index, direction))
     state = MPS(sites=tuple(cores), center=0)
     return state, records, SweepCarry(state=state, target=target, right=tuple(right))
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -175,6 +176,34 @@ class TestRunCommand:
 
     def test_oracle_check_passes(self, tmp_path):
         assert run(tmp_path, "--oracle-check") == 0
+
+    @pytest.mark.parametrize("name", ["trajectory.csv", "summary.json"])
+    def test_output_path_that_is_a_directory_exit_2(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert run(tmp_path, "--force") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is a directory" in err
+        assert err.count("\n") == 1
+        # no temporary file left and no output file written
+        assert os.listdir(out) == [name]
+
+    def test_write_failure_exit_2_and_no_output(self, tmp_path, capsys, monkeypatch):
+        mkstemp, made = tempfile.mkstemp, []
+
+        def third_fails(*args, **kwargs):
+            if len(made) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            made.append(None)
+            return mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", third_fails)
+        assert run(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No space left" in err
+        assert err.count("\n") == 1
+        assert len(made) == 2
+        assert os.listdir(tmp_path / "out") == []
 
     def test_no_partial_output_on_failure(self, tmp_path):
         out = tmp_path / "d"

@@ -388,6 +388,87 @@ class TestSweepCarry:
             assert crossings == [3, 2, 2, 2], n
 
 
+class TestSweepGaugeCheck:
+    """The whole gauge is checked for every state a sweep did not return itself."""
+
+    @staticmethod
+    def count_gauge_checks(monkeypatch):
+        calls = []
+        check_gauge = engine.check_gauge
+
+        def counted(state):
+            calls.append(state)
+            return check_gauge(state)
+
+        monkeypatch.setattr(engine, "check_gauge", counted)
+        return calls
+
+    def test_train_checks_the_whole_gauge_once(self, monkeypatch):
+        calls = self.count_gauge_checks(monkeypatch)
+        n = 5
+        _, trajectory, _ = train(TrainConfig(n=n, chi=2, seed=1, target="named:random:3",
+                                             max_sweeps=4, tol=1e-30))
+        assert len(trajectory) == 4 * (2 * n - 1)
+        assert len(calls) == 1
+
+    def test_only_the_own_carry_skips_the_check(self, monkeypatch):
+        n, d, chi = 6, 2, 2
+        target = named_state("random", n, d, seed=7)
+        other_target = named_state("random", n, d, seed=8)
+        state, _, carry = sweep(random_mps(n, d, chi, seed=1), target, 0)
+        _, _, other_carry = sweep(random_mps(n, d, chi, seed=2), target, 0)
+        calls = self.count_gauge_checks(monkeypatch)
+        cases = [
+            ("no carry", (state, target, 1, None), 1),
+            ("foreign carry", (state, target, 1, other_carry), 1),
+            ("carry for another target", (state, other_target, 1, carry), 1),
+            ("new MPS object", (dataclasses.replace(state), target, 1, carry), 1),
+            ("own carry", (state, target, 1, carry), 0),
+        ]
+        for name, args, expected in cases:
+            calls.clear()
+            sweep(*args)
+            assert len(calls) == expected, name
+
+    @pytest.mark.parametrize("site", [1, 3, 5])
+    def test_changed_core_with_the_old_carry_refused(self, site):
+        n = 6
+        target = named_state("random", n, 2, seed=7)
+        state, _, carry = sweep(random_mps(n, 2, 2, seed=1), target, 0)
+        sites = list(state.sites)
+        sites[site] = sites[site] * 2.0
+        broken = MPS(sites=tuple(sites), center=0)
+        with pytest.raises(GaugeError):
+            sweep(broken, target, 1, carry)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("chi", [1, 3, 16])
+    def test_returned_cores_were_checked_when_made(self, monkeypatch, n, chi):
+        """Each non-center core of the returned state is the one its L-half shift checked."""
+        target = named_state("random", n, 2, seed=n + 1)
+        state, _, carry = sweep(random_mps(n, 2, chi, seed=n), target, 0)
+        sites, right_cores = [], []
+        check_isometry, right_defect = engine.check_isometry, engine.right_defect
+
+        def recorded_check(defect, site=None):
+            sites.append(site)
+            return check_isometry(defect, site)
+
+        def recorded_defect(core):
+            right_cores.append(core)
+            return right_defect(core)
+
+        monkeypatch.setattr(engine, "check_isometry", recorded_check)
+        monkeypatch.setattr(engine, "right_defect", recorded_defect)
+        returned, _, _ = sweep(state, target, 1, carry)
+        assert len(sites) == 2 * n - 2
+        l_half = sites[n - 1:]
+        assert sorted(l_half) == list(range(1, n))
+        assert len(right_cores) == n - 1
+        for site, core in zip(l_half, right_cores):
+            assert returned.sites[site] is core, site
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("n", 0), ("d", 1), ("chi", 0), ("seed", -1), ("max_sweeps", 0),
