@@ -23,7 +23,7 @@ in the single-site subspace and so is read off the projection coefficients
 without another pass over the target.
 
 Moving the center splits the old center core into an isometry and a
-triangular gauge factor t (``mps.split_core``). The projection reads only
+gauge factor t (``mps.split_core``). The projection reads only
 the two environments, not the new center core, and an update that does not
 stall overwrites that core. So the sweep keeps t and multiplies it into
 the new center (``mps.absorb_factor``) only when the update stalls; the

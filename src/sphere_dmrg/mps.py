@@ -8,6 +8,13 @@ dense vector sits on the unit sphere.
 
 Operations return new MPS values; treat instances as immutable.
 
+Moving the center splits the old center core into an isometry and a gauge
+factor (``split_core``). Where the core's matrix is square, the bond is
+saturated at its ``bond_dim`` cap and the identity already spans the whole
+space, so the split is the identity and the core itself, exact and with no
+QR; on the chain's saturated ends that skips the QR of every shift. Any
+other core takes one sign-fixed QR.
+
 Contracting a chain with a dense target is split at the middle bond,
 m = n // 2. The left environment of site i is the dense block of the cores
 0..i-1, shape (d**i, chi), while i < m, and the target folded through
@@ -143,21 +150,31 @@ def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
 
 
 def split_core(core: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
-    """QR-split a center core into an isometry core and its gauge factor t.
+    """Split a center core into an isometry core and its gauge factor t.
 
     ``"right"`` returns a left isometry q with core = q @ t, both read as
     (l*d, r) matrices, so t belongs to the left bond of the next core.
     ``"left"`` returns a right isometry q with core = t.T @ q, both read as
     (l, d*r) matrices, so t.T belongs to the right bond of the previous
-    core. ``absorb_factor`` multiplies t in. The QR is not rank-checked:
-    when the state's Schmidt rank at the bond is below the bond dimension,
-    q is still an isometry and the split is still exact.
+    core. ``absorb_factor`` multiplies t in.
+
+    A square matrix (l*d == r for ``"right"``, l == d*r for ``"left"``)
+    means the bond is saturated at its ``bond_dim`` cap. The identity is
+    then an orthonormal basis of the whole space, so q is the identity and
+    t is the core itself: exact, with isometry defect 0, whatever the
+    core's rank. Any other core is split by the sign-fixed QR, which is not
+    rank-checked: when the state's Schmidt rank at the bond is below the
+    bond dimension, q is still an isometry and the split is still exact.
     """
     l, d, r = core.shape
     if direction == "right":
+        if l * d == r:
+            return np.eye(r).reshape(l, d, r), core.reshape(r, r)
         q, t = qr_orthonormalize(core.reshape(l * d, r))
         return q.reshape(l, d, r), t
     if direction == "left":
+        if l == d * r:
+            return np.eye(l).reshape(l, d, r), core.reshape(l, l).T
         q, t = qr_orthonormalize(core.reshape(l, d * r).T)
         return q.T.reshape(l, d, r), t
     raise InputError(f"direction must be 'left' or 'right', got {direction!r}")

@@ -1,7 +1,9 @@
 """Dense tensor kernel: sign-fixed QR and shape-checked contraction.
 
-The QR is behind every gauge move; the contraction serves only dense
-conversion. Tensors are plain float64 numpy arrays in row-major (C) order.
+The QR splits every gauge move out of a core whose matrix is not square
+(``mps.split_core`` moves a square one without it); the contraction serves
+only dense conversion. Tensors are plain float64 numpy arrays in row-major
+(C) order.
 """
 
 from __future__ import annotations

@@ -302,28 +302,51 @@ class TestSweepGaugeFactor:
         monkeypatch.setattr(mps, "qr_orthonormalize", wrapped)
         return calls
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 9])
-    def test_one_qr_per_shift_on_the_wrapped_lookup(self, monkeypatch, n):
-        state = random_mps(n, 2, 3, seed=n)
-        target = named_state("random", n, 2, seed=n + 1)
+    @staticmethod
+    def non_square_shifts(state):
+        """Shifts of one sweep out of a core whose matrix is not square.
+
+        The R half shifts out of sites 0..n-2, each core read as an (l*d, r)
+        matrix; the L half out of sites n-1..1, read as (l, d*r). Shifts keep
+        the core shapes, so the state's shapes decide every shift.
+        """
+        shapes = [core.shape for core in state.sites]
+        return sum(l * d != r for l, d, r in shapes[:-1]) + sum(
+            l != d * r for l, d, r in shapes[1:]
+        )
+
+    @pytest.mark.parametrize(
+        "n, d, chi",
+        [(1, 2, 3), (2, 2, 3), (5, 2, 3), (9, 2, 3), (12, 2, 16), (7, 3, 5), (6, 3, 2)],
+    )
+    def test_one_qr_per_non_square_shift_none_per_square_one(self, monkeypatch, n, d, chi):
+        state = random_mps(n, d, chi, seed=n)
+        target = named_state("random", n, d, seed=n + 1)
+        expected = self.non_square_shifts(state)
+        if chi < d:
+            # every bond is chi < d, so no core's matrix is square
+            assert expected == 2 * n - 2
         calls = self.wrap_qr(monkeypatch)
         sweep(state, target, 0)
-        assert len(calls) == 2 * n - 2
+        assert len(calls) == expected
 
     def test_failed_right_shift_names_its_site(self, monkeypatch):
         state = random_mps(4, 2, 2, seed=3)
         target = named_state("random", 4, 2, seed=4)
+        # the core at site 0 is (1, 2, 2), square; the first QR leaves site 1
         self.wrap_qr(monkeypatch, doubled_from=1)
-        with pytest.raises(GaugeError, match=r"^isometry defect \S+ at site 0 exceeds 1e-08$"):
+        with pytest.raises(GaugeError, match=r"^isometry defect \S+ at site 1 exceeds 1e-08$"):
             sweep(state, target, 0)
 
     def test_failed_left_shift_names_its_site(self, monkeypatch):
         n = 4
         state = random_mps(n, 2, 2, seed=3)
         target = named_state("random", n, 2, seed=4)
-        # the R half-sweep makes n - 1 good shifts; the first L shift leaves site n - 1
-        self.wrap_qr(monkeypatch, doubled_from=n)
-        message = rf"^isometry defect \S+ at site {n - 1} exceeds 1e-08$"
+        # the R half-sweep makes n - 2 good QRs; the first L shift leaves the
+        # square (2, 2, 1) core at site n - 1 without one, the next QR leaves
+        # site n - 2
+        self.wrap_qr(monkeypatch, doubled_from=n - 1)
+        message = rf"^isometry defect \S+ at site {n - 2} exceeds 1e-08$"
         with pytest.raises(GaugeError, match=message):
             sweep(state, target, 0)
 

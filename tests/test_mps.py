@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphere_dmrg import mps
 from sphere_dmrg.engine import TrainConfig, train
-from sphere_dmrg.errors import InputError
+from sphere_dmrg.errors import ContractShapeError, InputError
 from sphere_dmrg.mps import (
     MPS,
     absorb_factor,
@@ -210,6 +211,98 @@ class TestShiftCenter:
                 len(moves) or 1
             )
             assert gauge_defect(state) < 1e-10
+
+
+class TestSquareSplit:
+    """A core whose matrix is square splits into the identity and itself, with no QR."""
+
+    @staticmethod
+    def count_qr(monkeypatch):
+        calls = []
+        qr = mps.qr_orthonormalize
+
+        def counted(m):
+            calls.append(m.shape)
+            return qr(m)
+
+        monkeypatch.setattr(mps, "qr_orthonormalize", counted)
+        return calls
+
+    @staticmethod
+    def chain(center_core, rng):
+        """Three cores around ``center_core`` at site 1, with matching bonds."""
+        l, d, r = center_core.shape
+        return [rng.standard_normal((1, d, l)), center_core, rng.standard_normal((r, d, 1))]
+
+    @staticmethod
+    def assert_exact_split(chain, direction):
+        """``split_core`` plus ``absorb_factor`` at site 1 keep the dense vector."""
+        before = dense_amplitudes(MPS(sites=tuple(chain), center=1))
+        q, t = split_core(chain[1], direction)
+        k = 2 if direction == "right" else 0
+        after = list(chain)
+        after[1], after[k] = q, absorb_factor(chain[k], t, direction)
+        defect = left_defect(q) if direction == "right" else right_defect(q)
+        assert defect == 0.0
+        np.testing.assert_allclose(
+            dense_amplitudes(MPS(sites=tuple(after), center=k)), before, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("direction", ["right", "left"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_identity_and_the_core_itself(self, monkeypatch, direction, d):
+        rng = np.random.default_rng(10 * d)
+        # (l, d, l*d) for a right split, (d*r, d, r) for a left one
+        shape = (2, d, 2 * d) if direction == "right" else (2 * d, d, 2)
+        chain = self.chain(rng.standard_normal(shape), rng)
+        calls = self.count_qr(monkeypatch)
+        q, t = split_core(chain[1], direction)
+        assert q.shape == shape
+        assert q.tobytes() == np.eye(2 * d).tobytes()
+        assert (t if direction == "right" else t.T).tobytes() == chain[1].tobytes()
+        self.assert_exact_split(chain, direction)
+        assert calls == []
+
+    @pytest.mark.parametrize("direction", ["right", "left"])
+    @pytest.mark.parametrize("kind", ["zero", "rank one"])
+    def test_rank_deficient_square_core(self, direction, kind):
+        rng = np.random.default_rng(5)
+        u, v = rng.standard_normal(4), rng.standard_normal(4)
+        matrix = np.zeros((4, 4)) if kind == "zero" else np.outer(u, v)
+        # the (4, 4) matrix the split reads, as a core
+        core = matrix.reshape(2, 2, 4) if direction == "right" else matrix.reshape(4, 2, 2)
+        q, t = split_core(core, direction)
+        if direction == "right":
+            np.testing.assert_array_equal(q.reshape(4, 4) @ t, matrix)
+        else:
+            np.testing.assert_array_equal(t.T @ q.reshape(4, 4), matrix)
+        self.assert_exact_split(self.chain(core, rng), direction)
+
+    @pytest.mark.parametrize(
+        "shape, direction",
+        [((2, 2, 3), "right"), ((1, 3, 2), "right"), ((3, 2, 2), "left"), ((2, 3, 1), "left")],
+    )
+    def test_non_square_core_takes_one_qr(self, monkeypatch, shape, direction):
+        core = np.random.default_rng(3).standard_normal(shape)
+        calls = self.count_qr(monkeypatch)
+        split_core(core, direction)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("center, direction", [(0, "right"), (1, "left")])
+    def test_bond_past_its_cap_still_refused(self, center, direction):
+        """A document may hold cores past their bond cap.
+
+        (1, 2, 3) has l*d < r and (3, 2, 1) has l > d*r: neither splits exactly.
+        """
+        doc = {
+            "n": 2, "d": 2, "center": center,
+            "tensors": [
+                {"shape": [1, 2, 3], "data": [0.5] * 6},
+                {"shape": [3, 2, 1], "data": [0.5] * 6},
+            ],
+        }
+        with pytest.raises(ContractShapeError):
+            shift_center(mps_from_json_dict(doc), direction)
 
 
 class TestMpsToDense:
