@@ -27,7 +27,7 @@ gauge factor t (``mps.split_core``). The projection reads only
 the two environments, not the new center core, and an update that does not
 stall overwrites that core. So the sweep keeps t and multiplies it into
 the new center (``mps.absorb_factor``) only when the update stalls; the
-states and records are the same as with ``mps.shift_cores``.
+states and records are the same as with the eager walk of ``mps.gauge_to``.
 
 Every core a shift makes is checked for isometry right after the shift
 (``mps.check_isometry``). ``sweep`` checks the whole gauge
@@ -67,14 +67,6 @@ from .tensor import contract  # noqa: F401  (perfbench/layers.py wraps engine.co
 
 #: projection norm at or below which an update stalls
 STALL_EPS = 1e-14
-
-
-@dataclass(frozen=True)
-class ProjectionTensor:
-    """Coordinates of the target's projection onto the single-site subspace."""
-
-    coeffs: np.ndarray
-    norm: float
 
 
 @dataclass(frozen=True)
@@ -130,11 +122,13 @@ def _projection(
     return coeffs, math.sqrt(flat @ flat)
 
 
-def compute_projection_tensor(state: MPS, target: DenseState) -> ProjectionTensor:
+def compute_projection_tensor(state: MPS, target: DenseState) -> tuple[np.ndarray, float]:
     """Contract the target against the frozen isometries around the center.
 
-    Builds both environments from the chain ends with the same steps that
-    ``sweep`` carries along, reading the target once.
+    Returns the projection coefficients and their norm, the pair that
+    ``_projection`` gives ``sweep``. Builds both environments from the
+    chain ends with the same steps that ``sweep`` carries along, reading
+    the target once.
     """
     check_dims(state, target)
     check_gauge(state)
@@ -145,7 +139,7 @@ def compute_projection_tensor(state: MPS, target: DenseState) -> ProjectionTenso
     right = np.ones((1, 1))
     for i in range(n - 1, c, -1):
         right = right_env(right, state.sites[i], i, m, t)
-    return ProjectionTensor(*_projection(left, right, c, m, state.sites[c].shape))
+    return _projection(left, right, c, m, state.sites[c].shape)
 
 
 def _closest_point(
@@ -190,9 +184,9 @@ def optimal_update(state: MPS, target: DenseState) -> tuple[MPS, MetricRecord]:
     projection coefficients, with no further read of the target. The
     record is numbered as step 0 of sweep 0, direction "R".
     """
-    proj = compute_projection_tensor(state, target)
+    coeffs, norm = compute_projection_tensor(state, target)
     sites = list(state.sites)
-    record = _closest_point(sites, state.center, proj.coeffs, proj.norm, 0, 0, "R")
+    record = _closest_point(sites, state.center, coeffs, norm, 0, 0, "R")
     if record.stalled:
         return state, record
     return replace(state, sites=tuple(sites)), record

@@ -30,7 +30,7 @@ engine's sweep and ``overlap_dense`` are both built from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,13 +140,10 @@ def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
     check_dense_guard(n, d)
     rng = np.random.default_rng(seed)
     dims = [1] + [bond_dim(n, d, chi, i) for i in range(n - 1)] + [1]
-    sites = [rng.standard_normal((dims[j], d, dims[j + 1])) for j in range(n)]
+    draws = tuple(rng.standard_normal((dims[j], d, dims[j + 1])) for j in range(n))
     # right-canonicalize down to site 0, then normalize the center
-    for j in range(n - 1, 0, -1):
-        shift_cores(sites, j, "left")
-    sites[0] = sites[0] / np.linalg.norm(sites[0])
-    _validate_chain(sites)
-    return MPS(sites=tuple(sites), center=0)
+    sites = gauge_to(MPS(sites=draws, center=n - 1), 0).sites
+    return MPS(sites=(sites[0] / np.linalg.norm(sites[0]),) + sites[1:], center=0)
 
 
 def split_core(core: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
@@ -191,39 +188,39 @@ def absorb_factor(core: np.ndarray, t: np.ndarray, direction: str) -> np.ndarray
     return (core.reshape(-1, t.shape[0]) @ t.T).reshape(core.shape)
 
 
-def shift_cores(cores: list[np.ndarray], j: int, direction: str) -> int:
-    """Move the center of ``cores`` from site j one site left or right, in place.
-
-    Splits site j with ``split_core`` and absorbs its factor into the
-    neighbour, which becomes the center. Returns the new center; the
-    represented state does not change.
-    """
-    if direction == "right" and j == len(cores) - 1:
-        raise InputError("cannot shift right at the last site")
-    if direction == "left" and j == 0:
-        raise InputError("cannot shift left at site 0")
-    cores[j], t = split_core(cores[j], direction)
-    k = j + 1 if direction == "right" else j - 1
-    cores[k] = absorb_factor(cores[k], t, direction)
-    return k
-
-
 def shift_center(state: MPS, direction: str) -> MPS:
-    """Move the center one site left or right without changing the state."""
-    sites = list(state.sites)
-    center = shift_cores(sites, state.center, direction)
-    return replace(state, sites=tuple(sites), center=center)
+    """One step of ``gauge_to``: move the center one site left or right.
+
+    Refuses a direction other than ``"left"`` or ``"right"`` and a step off
+    either end of the chain.
+    """
+    if direction not in ("left", "right"):
+        raise InputError(f"direction must be 'left' or 'right', got {direction!r}")
+    if direction == "right" and state.center == state.n - 1:
+        raise InputError("cannot shift right at the last site")
+    if direction == "left" and state.center == 0:
+        raise InputError("cannot shift left at site 0")
+    return gauge_to(state, state.center + (1 if direction == "right" else -1))
 
 
 def gauge_to(state: MPS, center: int) -> MPS:
-    """Shift the center to the given site."""
+    """Walk the center to the given site without changing the state.
+
+    The one center walk: each step splits the old center (``split_core``)
+    and multiplies its gauge factor into the neighbour (``absorb_factor``).
+    It reads only the cores it passes, which need not be isometries, so it
+    also right-canonicalizes raw draws walked from the last site to site 0.
+    """
     if not (0 <= center < state.n):
         raise InputError(f"center {center} out of range [0, {state.n})")
-    while state.center < center:
-        state = shift_center(state, "right")
-    while state.center > center:
-        state = shift_center(state, "left")
-    return state
+    cores = list(state.sites)
+    for j in range(state.center, center):
+        cores[j], t = split_core(cores[j], "right")
+        cores[j + 1] = absorb_factor(cores[j + 1], t, "right")
+    for j in range(state.center, center, -1):
+        cores[j], t = split_core(cores[j], "left")
+        cores[j - 1] = absorb_factor(cores[j - 1], t, "left")
+    return MPS(sites=tuple(cores), center=center)
 
 
 def dense_amplitudes(state: MPS) -> np.ndarray:

@@ -49,9 +49,9 @@ def oracle_check(config: TrainConfig) -> list[str]:
         at = f"sweep {record.sweep}, site {site} ({direction})"
         state = gauge_to(state, site)
         basis = subspace_basis_dense(state)
-        proj = compute_projection_tensor(state, target)
+        coeffs, _ = compute_projection_tensor(state, target)
         expected = basis.vectors @ target.amplitudes
-        err = float(np.max(np.abs(proj.coeffs.reshape(-1) - expected)))
+        err = float(np.max(np.abs(coeffs.reshape(-1) - expected)))
         if err > COEFF_TOL:
             mismatches.append(
                 f"{at}: projection coefficients differ by {err:.3e}"

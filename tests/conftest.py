@@ -3,30 +3,17 @@ import itertools
 import numpy as np
 
 
-def loop_contract(a, axes_a, b, axes_b):
-    """Nested-loop contraction reference, written independently of the kernel."""
-    free_a = [i for i in range(a.ndim) if i not in axes_a]
-    free_b = [i for i in range(b.ndim) if i not in axes_b]
-    out_shape = tuple(a.shape[i] for i in free_a) + tuple(b.shape[i] for i in free_b)
-    out = np.zeros(out_shape if out_shape else ())
-    paired_ranges = [range(a.shape[i]) for i in axes_a]
-    for fa in itertools.product(*(range(a.shape[i]) for i in free_a)):
-        for fb in itertools.product(*(range(b.shape[i]) for i in free_b)):
+def loop_contract(a, b):
+    """Last axis of ``a`` against the first axis of ``b``, by nested loops.
+
+    A reference written independently of the kernel: every output entry is
+    the explicit sum over the paired index.
+    """
+    out = np.zeros(a.shape[:-1] + b.shape[1:])
+    for fa in itertools.product(*(range(k) for k in a.shape[:-1])):
+        for fb in itertools.product(*(range(k) for k in b.shape[1:])):
             total = 0.0
-            for ks in itertools.product(*paired_ranges):
-                ia = [0] * a.ndim
-                ib = [0] * b.ndim
-                for ax, v in zip(free_a, fa):
-                    ia[ax] = v
-                for ax, v in zip(axes_a, ks):
-                    ia[ax] = v
-                for ax, v in zip(free_b, fb):
-                    ib[ax] = v
-                for ax, v in zip(axes_b, ks):
-                    ib[ax] = v
-                total += a[tuple(ia)] * b[tuple(ib)]
-            if out_shape:
-                out[fa + fb] = total
-            else:
-                out = np.asarray(total)
+            for k in range(b.shape[0]):
+                total += a[fa + (k,)] * b[(k,) + fb]
+            out[fa + fb] = total
     return out

@@ -19,9 +19,11 @@ from sphere_dmrg.mps import (
     gauge_defect,
     gauge_to,
     mps_to_dense,
+    overlap_dense,
     random_mps,
     shift_center,
 )
+from sphere_dmrg.target import resolve_target
 from sphere_dmrg.verify import oracle_check
 
 OVERLAP_SLACK = 1e-12
@@ -50,7 +52,11 @@ def test_c1_monotone_trajectory():
             n=n, d=2, chi=chi, seed=seed,
             target=f"named:random:{seed + 500}", max_sweeps=2, tol=1e-30,
         )
-        _, traj, _ = train(cfg)
+        state, traj, _ = train(cfg)
+        # the last recorded overlap is a projection norm; it must equal the
+        # final state's overlap with the target
+        target = resolve_target(cfg.target, n, 2)
+        assert abs(traj[-1].overlap - overlap_dense(state, target)) <= 1e-12, (n, chi, seed)
         for a, b in zip(traj, traj[1:]):
             if a.stalled or b.stalled:
                 continue
@@ -149,6 +155,8 @@ def test_rank_deficient_targets_converge():
         cfg = TrainConfig(n=6, d=2, chi=chi, seed=0, target=spec, max_sweeps=10)
         state, traj, _ = train(cfg)
         assert traj[-1].overlap >= 1.0 - 1e-12, (spec, chi, traj[-1])
+        target = resolve_target(spec, 6, 2)
+        assert abs(traj[-1].overlap - overlap_dense(state, target)) <= 1e-12, (spec, chi)
         assert gauge_defect(state) < 1e-10, (spec, chi)
         assert not oracle_check(cfg), (spec, chi)
     report(f"rank-deficient targets: {len(RANK_DEFICIENT_CASES)} cases reach overlap 1")

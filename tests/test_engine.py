@@ -35,28 +35,28 @@ class TestComputeProjectionTensor:
     def test_single_site_whole_space(self):
         state = random_mps(1, 2, 3, seed=0)
         target = named_state("random", 1, 2, seed=1)
-        proj = compute_projection_tensor(state, target)
+        coeffs, norm = compute_projection_tensor(state, target)
         np.testing.assert_allclose(
-            proj.coeffs, target.amplitudes.reshape(1, 2, 1), atol=1e-15
+            coeffs, target.amplitudes.reshape(1, 2, 1), atol=1e-15
         )
-        assert abs(proj.norm - 1.0) < 1e-12
+        assert abs(norm - 1.0) < 1e-12
 
     def test_orthogonal_target_zero_coeffs(self):
         state = fixed_site1_mps()
         target = named_state("basis:1", 2, 2)  # the state |01>
-        proj = compute_projection_tensor(state, target)
-        np.testing.assert_array_equal(proj.coeffs, np.zeros((1, 2, 1)))
-        assert proj.norm == 0.0
+        coeffs, norm = compute_projection_tensor(state, target)
+        np.testing.assert_array_equal(coeffs, np.zeros((1, 2, 1)))
+        assert norm == 0.0
 
     def test_matches_dense_basis_oracle(self):
         for seed in range(5):
             state = gauge_to(random_mps(4, 2, 2, seed=seed), seed % 4)
             target = named_state("random", 4, 2, seed=seed + 100)
-            proj = compute_projection_tensor(state, target)
+            coeffs, norm = compute_projection_tensor(state, target)
             basis = subspace_basis_dense(state)
             expected = basis.vectors @ target.amplitudes
-            np.testing.assert_allclose(proj.coeffs.reshape(-1), expected, atol=1e-12)
-            assert abs(proj.norm - np.linalg.norm(expected)) < 1e-12
+            np.testing.assert_allclose(coeffs.reshape(-1), expected, atol=1e-12)
+            assert abs(norm - np.linalg.norm(expected)) < 1e-12
 
     def test_gauge_violation_refused(self):
         state = random_mps(4, 2, 2, seed=1)
@@ -98,7 +98,7 @@ class TestOptimalUpdate:
         state = fixed_site1_mps()
         amps = np.array([1e-15, math.sqrt(1 - 1e-30), 0.0, 0.0])
         target = DenseState(n=2, d=2, amplitudes=amps)
-        assert compute_projection_tensor(state, target).norm <= STALL_EPS
+        assert compute_projection_tensor(state, target)[1] <= STALL_EPS
         _, rec = optimal_update(state, target)
         assert rec.stalled
         assert math.isclose(rec.overlap, 1e-15, rel_tol=1e-9)
@@ -537,9 +537,14 @@ class TestTrain:
             assert a.tobytes() == b.tobytes()
 
     def test_global_step_numbering(self):
-        cfg = TrainConfig(n=3, chi=2, seed=5, target="named:random:9", max_sweeps=3)
-        _, traj, _ = train(cfg)
-        assert [r.step for r in traj] == list(range(len(traj)))
+        # d=3 and the one- and two-site chains besides the n=3 case
+        for n, d in [(3, 2), (1, 2), (2, 2), (1, 3), (2, 3), (4, 3)]:
+            cfg = TrainConfig(n=n, d=d, chi=2, seed=5, target="named:random:9", max_sweeps=3)
+            state, traj, _ = train(cfg)
+            assert [r.step for r in traj] == list(range(len(traj))), (n, d)
+            # the last recorded overlap is the final state's overlap with the target
+            target = named_state("random", n, d, seed=9)
+            assert abs(traj[-1].overlap - overlap_dense(state, target)) <= 1e-12, (n, d)
 
     def test_invalid_config_rejected_before_running(self):
         with pytest.raises(InputError):

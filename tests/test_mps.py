@@ -25,7 +25,6 @@ from sphere_dmrg.mps import (
     random_mps,
     right_defect,
     shift_center,
-    shift_cores,
     split_core,
 )
 from sphere_dmrg.target import named_state, resolve_target
@@ -70,6 +69,52 @@ def ghz_mps():
     return MPS(sites=(a0, a1, a2), center=2)
 
 
+def shifted_by_formula(cores, j, direction):
+    """The cores after one shift of the center from site j, written out.
+
+    A square matrix moves as the identity and the core itself; any other
+    takes numpy's QR with the signs of R's diagonal made non-negative.
+    """
+    cores = list(cores)
+    l, d, r = cores[j].shape
+    if direction == "right":
+        if l * d == r:
+            t = cores[j].reshape(r, r)
+            cores[j] = np.eye(r).reshape(l, d, r)
+        else:
+            q, t = np.linalg.qr(cores[j].reshape(l * d, r))
+            signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
+            cores[j] = (q * signs).reshape(l, d, r)
+            t = t * signs[:, None]
+        nxt = cores[j + 1]
+        cores[j + 1] = (t @ nxt.reshape(r, -1)).reshape(nxt.shape)
+    else:
+        if l == d * r:
+            t_transposed = cores[j].reshape(l, l)
+            cores[j] = np.eye(l).reshape(l, d, r)
+        else:
+            q, t = np.linalg.qr(cores[j].reshape(l, d * r).T)
+            signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
+            cores[j] = (q * signs).T.reshape(l, d, r)
+            t_transposed = (t * signs[:, None]).T
+        prev = cores[j - 1]
+        cores[j - 1] = (prev.reshape(-1, l) @ t_transposed).reshape(prev.shape)
+    return cores
+
+
+def walked_by_formula(cores, start, stop):
+    """The cores after ``shifted_by_formula`` steps from site start to site stop."""
+    step = 1 if stop > start else -1
+    for j in range(start, stop, step):
+        cores = shifted_by_formula(cores, j, "right" if step == 1 else "left")
+    return cores
+
+
+# (n, d, chi): bonds saturated at their cap (square shifts), bonds below
+# it (QR shifts) and chains with both
+WALK_SIZES = [(1, 3, 2), (2, 2, 1), (4, 2, 4), (4, 3, 2), (4, 3, 9), (5, 2, 4), (6, 2, 3), (7, 3, 5)]
+
+
 class TestRandomMPS:
     def test_single_site_shape(self):
         state = random_mps(1, 2, 7, seed=0)
@@ -102,6 +147,20 @@ class TestRandomMPS:
     def test_invalid_dims(self, n, d, chi):
         with pytest.raises(InputError):
             random_mps(n, d, chi, seed=0)
+
+    @pytest.mark.parametrize("n, d, chi", WALK_SIZES)
+    def test_right_to_left_walk_over_the_draws(self, n, d, chi):
+        seed = 3 * n + chi
+        rng = np.random.default_rng(seed)
+        dims = [1] + [min(chi, d ** (i + 1), d ** (n - 1 - i)) for i in range(n - 1)] + [1]
+        draws = [rng.standard_normal((dims[j], d, dims[j + 1])) for j in range(n)]
+        expected = walked_by_formula(draws, n - 1, 0)
+        expected[0] = expected[0] / np.linalg.norm(expected[0])
+        state = random_mps(n, d, chi, seed)
+        assert state.center == 0
+        assert [(c.shape, c.tobytes()) for c in state.sites] == [
+            (c.shape, c.tobytes()) for c in expected
+        ]
 
 
 class TestShiftCenter:
@@ -147,39 +206,20 @@ class TestShiftCenter:
 
     def test_boundary_errors(self):
         state = random_mps(3, 2, 2, seed=0)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^cannot shift left at site 0$"):
             shift_center(state, "left")
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^cannot shift right at the last site$"):
             shift_center(gauge_to(state, 2), "right")
 
     def test_bad_direction(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^direction must be 'left' or 'right', got 'up'$"):
             shift_center(random_mps(3, 2, 2, seed=0), "up")
-
-    @staticmethod
-    def shifted_by_formula(cores, j, direction):
-        """The cores after one shift, by the QR-and-matmul formula written out."""
-        cores = list(cores)
-        l, d, r = cores[j].shape
-        if direction == "right":
-            q, t = np.linalg.qr(cores[j].reshape(l * d, r))
-            signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
-            cores[j] = (q * signs).reshape(l, d, r)
-            nxt = cores[j + 1]
-            cores[j + 1] = ((t * signs[:, None]) @ nxt.reshape(r, -1)).reshape(nxt.shape)
-        else:
-            q, t = np.linalg.qr(cores[j].reshape(l, d * r).T)
-            signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
-            cores[j] = (q * signs).T.reshape(l, d, r)
-            prev = cores[j - 1]
-            cores[j - 1] = (prev.reshape(-1, l) @ (t * signs[:, None]).T).reshape(prev.shape)
-        return cores
 
     @pytest.mark.parametrize("direction", ["right", "left"])
     @pytest.mark.parametrize("kind", ["random", "zero column", "equal columns"])
     def test_split_then_absorb_is_the_shift(self, direction, kind):
         rng = np.random.default_rng(17)
-        cores = [rng.standard_normal(shape) for shape in ((2, 2, 3), (3, 2, 3), (3, 2, 2))]
+        cores = [rng.standard_normal(shape) for shape in ((1, 2, 3), (3, 2, 3), (3, 2, 1))]
         # the columns of the matrix the QR sees: right bonds for a right
         # split, left bonds for a left split
         columns = np.moveaxis(cores[1], 2 if direction == "right" else 0, 0)
@@ -187,13 +227,13 @@ class TestShiftCenter:
             columns[1] = 0.0
         elif kind == "equal columns":
             columns[2] = columns[0]
-        expected = self.shifted_by_formula(cores, 1, direction)
+        expected = shifted_by_formula(cores, 1, direction)
         k = 2 if direction == "right" else 0
-        shifted = list(cores)
-        assert shift_cores(shifted, 1, direction) == k
+        shifted = shift_center(MPS(sites=tuple(cores), center=1), direction)
+        assert shifted.center == k
         q, t = split_core(cores[1], direction)
         split = [q, absorb_factor(cores[k], t, direction)]
-        for got in ([shifted[1], shifted[k]], split):
+        for got in ([shifted.sites[1], shifted.sites[k]], split):
             assert [c.shape for c in got] == [expected[1].shape, expected[k].shape]
             assert [c.tobytes() for c in got] == [expected[1].tobytes(), expected[k].tobytes()]
 
@@ -410,6 +450,19 @@ class TestGaugeTo:
                     assert right_defect(state.sites[j]) < 1e-10
             assert abs(np.linalg.norm(state.sites[c]) - 1.0) < 1e-10
             assert np.linalg.norm(mps_to_dense(state).amplitudes - reference) < 1e-11
+
+    @pytest.mark.parametrize("n, d, chi", WALK_SIZES)
+    def test_walk_is_the_formula_step_by_step(self, n, d, chi):
+        first = random_mps(n, d, chi, seed=n + chi)
+        last = MPS(sites=tuple(walked_by_formula(first.sites, 0, n - 1)), center=n - 1)
+        for start in (first, last):
+            for c in range(n):
+                expected = walked_by_formula(start.sites, start.center, c)
+                state = gauge_to(start, c)
+                assert state.center == c
+                assert [(core.shape, core.tobytes()) for core in state.sites] == [
+                    (core.shape, core.tobytes()) for core in expected
+                ]
 
 
 class TestSerialization:
