@@ -22,7 +22,7 @@ TOL = 1e-10
 def oracle_update(state, target):
     basis = subspace_basis_dense(state)
     _, norm = project_onto_subspace_dense(target, basis)
-    coeffs = basis.vectors @ target.amplitudes
+    coeffs = basis @ target.amplitudes
     sites = list(state.sites)
     sites[state.center] = (coeffs / norm).reshape(sites[state.center].shape)
     return dataclasses.replace(state, sites=tuple(sites)), norm

@@ -105,6 +105,15 @@ def main(argv: list[str] | None = None) -> int:
     except SphereDMRGError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 1
+    except MemoryError:
+        # valid input on a host too small for it: name what the target needs
+        d, n = args.phys_dim, args.sites
+        print(
+            f"error: out of memory: the dense target of {d}**{n} float64 "
+            f"amplitudes needs {d**n * 8} bytes",
+            file=sys.stderr,
+        )
+        return 1
 
 
 def _run(args) -> int:

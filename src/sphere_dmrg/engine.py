@@ -61,9 +61,9 @@ from .mps import (
     right_env,
     split_core,
 )
-from .mps import shift_center  # noqa: F401  (perfbench/layers.py wraps engine.shift_center)
+# perfbench/layers.py wraps engine.contract and engine.shift_center
+from .mps import contract, shift_center  # noqa: F401
 from .target import DenseState, resolve_target
-from .tensor import contract  # noqa: F401  (perfbench/layers.py wraps engine.contract)
 
 #: projection norm at or below which an update stalls
 STALL_EPS = 1e-14

@@ -13,7 +13,9 @@ factor (``split_core``). Where the core's matrix is square, the bond is
 saturated at its ``bond_dim`` cap and the identity already spans the whole
 space, so the split is the identity and the core itself, exact and with no
 QR; on the chain's saturated ends that skips the QR of every shift. Any
-other core takes one sign-fixed QR.
+other core takes one sign-fixed QR (``qr_orthonormalize``), which serves
+every non-square split; the shape-checked ``contract`` serves only dense
+conversion. Cores are plain float64 numpy arrays in row-major (C) order.
 
 Contracting a chain with a dense target is split at the middle bond,
 m = n // 2. The left environment of site i is the dense block of the cores
@@ -34,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaugeError, InputError
+from .errors import ContractShapeError, GaugeError, InputError
 from .target import DenseState, check_dense_guard, json_int, number_array
-from .tensor import contract, qr_orthonormalize
 
 #: largest isometry defect a non-center core may have
 GAUGE_TOL = 1e-8
@@ -146,6 +147,29 @@ def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
     return MPS(sites=(sites[0] / np.linalg.norm(sites[0]),) + sites[1:], center=0)
 
 
+def qr_orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR with the diagonal of R forced non-negative, no rank check.
+
+    Returns (q, t) with q.T @ q = I, q @ t = m, and t upper-triangular
+    with non-negative diagonal, so the factorization is unique for full
+    rank input and bit-stable for identical input. Householder QR keeps
+    q orthonormal when ``m`` is rank-deficient, which is what a gauge
+    shift needs: a bond wider than the state's Schmidt rank is redundant,
+    not invalid.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ContractShapeError(f"expected a rank-2 tensor, got shape {m.shape}")
+    r, c = m.shape
+    if r < c:
+        raise ContractShapeError(f"need rows >= cols, got shape {m.shape}")
+    q, t = np.linalg.qr(m)
+    signs = np.where(t.diagonal() < 0.0, -1.0, 1.0)
+    q *= signs
+    t *= signs[:, None]
+    return q, t
+
+
 def split_core(core: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
     """Split a center core into an isometry core and its gauge factor t.
 
@@ -221,6 +245,23 @@ def gauge_to(state: MPS, center: int) -> MPS:
         cores[j], t = split_core(cores[j], "left")
         cores[j - 1] = absorb_factor(cores[j - 1], t, "left")
     return MPS(sites=tuple(cores), center=center)
+
+
+def contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Contract the last axis of ``a`` with the first axis of ``b``.
+
+    Output axes are the other axes of ``a`` followed by the other axes of
+    ``b``: one reshape and one matmul.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim == 0 or b.ndim == 0 or a.shape[-1] != b.shape[0]:
+        raise ContractShapeError(
+            f"last axis of shape {a.shape} does not match first axis of shape {b.shape}"
+        )
+    k = b.shape[0]
+    out = a.reshape(-1, k) @ b.reshape(k, -1)
+    return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
 def dense_amplitudes(state: MPS) -> np.ndarray:

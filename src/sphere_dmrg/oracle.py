@@ -2,13 +2,14 @@
 
 Everything here is recomputed densely from scratch on every call so the
 code stays simple enough to trust by inspection. Use it to verify the
-engine, never for speed.
+engine, never for speed. A subspace basis is a plain array with one dense
+vector per row.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,17 +20,13 @@ from .target import DenseState
 ORTHO_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Dense spanning vectors of the single-site subspace, one per
-    (left bond, physical, right bond) unit tensor at the center."""
+def subspace_basis_dense(state: MPS) -> np.ndarray:
+    """Dense spanning vectors of the single-site subspace at the center.
 
-    vectors: np.ndarray  # (dim, d**n), row k is basis vector k
-    dim: int
-
-
-def subspace_basis_dense(state: MPS) -> SubspaceBasis:
-    """Realize each center unit tensor as a dense vector."""
+    Returns an (l*d*r, d**n) array: row k is the state whose center core
+    is the k-th unit tensor, counted in (left bond, physical, right bond)
+    order.
+    """
     i = state.center
     l, d, r = state.sites[i].shape
     dim = l * d * r
@@ -40,25 +37,24 @@ def subspace_basis_dense(state: MPS) -> SubspaceBasis:
         sites = list(state.sites)
         sites[i] = unit.reshape(l, d, r)
         vectors[k] = dense_amplitudes(replace(state, sites=tuple(sites)))
-    return SubspaceBasis(vectors=vectors, dim=dim)
+    return vectors
 
 
 def project_onto_subspace_dense(
-    target: DenseState, basis: SubspaceBasis
+    target: DenseState, vectors: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Orthogonal projection of the target onto span(basis).
+    """Orthogonal projection of the target onto the span of the rows of ``vectors``.
 
-    If the basis fails the orthonormality check (a gauge bug upstream),
-    it is re-orthonormalized first and a warning is emitted; the fallback
-    is never silent.
+    If the rows fail the orthonormality check (a gauge bug upstream),
+    they are re-orthonormalized first and a warning is emitted; the
+    fallback is never silent.
     """
-    vectors = basis.vectors
     if vectors.shape[1] != target.dim:
         raise InputError(
             f"basis vectors have length {vectors.shape[1]}, target has {target.dim}"
         )
     gram = vectors @ vectors.T
-    if np.max(np.abs(gram - np.eye(basis.dim))) > ORTHO_TOL:
+    if np.max(np.abs(gram - np.eye(len(vectors)))) > ORTHO_TOL:
         warnings.warn(
             "subspace basis is not orthonormal; re-orthonormalizing "
             "(source state violates the mixed-canonical gauge)",

@@ -50,7 +50,7 @@ def oracle_check(config: TrainConfig) -> list[str]:
         state = gauge_to(state, site)
         basis = subspace_basis_dense(state)
         coeffs, _ = compute_projection_tensor(state, target)
-        expected = basis.vectors @ target.amplitudes
+        expected = basis @ target.amplitudes
         err = float(np.max(np.abs(coeffs.reshape(-1) - expected)))
         if err > COEFF_TOL:
             mismatches.append(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphere_dmrg import engine
 from sphere_dmrg.cli import CSV_HEADER, main
 from sphere_dmrg.mps import mps_from_json_dict, mps_to_dense
 
@@ -203,6 +204,33 @@ class TestRunCommand:
         assert err.startswith("error:") and "No space left" in err
         assert err.count("\n") == 1
         assert len(made) == 2
+        assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("stage", ["target", "write"])
+    def test_out_of_memory_exit_1_in_one_line(self, tmp_path, capsys, monkeypatch, stage):
+        # raised where the allocation would fail, without allocating
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        if stage == "target":
+            monkeypatch.setattr(engine, "resolve_target", refuse)
+        else:
+            mkstemp, made = tempfile.mkstemp, []
+
+            def third_refused(*args, **kwargs):
+                if len(made) == 2:
+                    refuse()
+                made.append(None)
+                return mkstemp(*args, **kwargs)
+
+            monkeypatch.setattr(tempfile, "mkstemp", third_refused)
+        assert run(tmp_path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory")
+        assert "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert f"{2**3 * 8} bytes" in captured.err  # d**n * 8 for --sites 3
         assert os.listdir(tmp_path / "out") == []
 
     def test_no_partial_output_on_failure(self, tmp_path):

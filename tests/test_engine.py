@@ -54,7 +54,7 @@ class TestComputeProjectionTensor:
             target = named_state("random", 4, 2, seed=seed + 100)
             coeffs, norm = compute_projection_tensor(state, target)
             basis = subspace_basis_dense(state)
-            expected = basis.vectors @ target.amplitudes
+            expected = basis @ target.amplitudes
             np.testing.assert_allclose(coeffs.reshape(-1), expected, atol=1e-12)
             assert abs(norm - np.linalg.norm(expected)) < 1e-12
 
@@ -122,9 +122,9 @@ class TestOptimalUpdate:
         basis = subspace_basis_dense(state)
         _, rec = optimal_update(state, target)
         rng = np.random.default_rng(99)
-        coeffs = rng.standard_normal((1000, basis.dim))
+        coeffs = rng.standard_normal((1000, len(basis)))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-        candidates = coeffs @ basis.vectors
+        candidates = coeffs @ basis
         overlaps = candidates @ target.amplitudes
         assert np.max(overlaps) <= rec.overlap + 1e-12
 

@@ -7,24 +7,24 @@ from sphere_dmrg.oracle import project_onto_subspace_dense, subspace_basis_dense
 from sphere_dmrg.target import DenseState, named_state
 
 
-class TestSubspaceBasis:
+class TestBasisRows:
     def test_single_site_whole_space(self):
         basis = subspace_basis_dense(random_mps(1, 2, 5, seed=0))
-        assert basis.dim == 2
+        assert len(basis) == 2
         # span is all of the 2-dim space
-        gram = basis.vectors @ basis.vectors.T
+        gram = basis @ basis.T
         np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
 
     def test_gram_identity_seeded(self):
         for seed in range(4):
             state = gauge_to(random_mps(4, 2, 2, seed=seed), seed % 4)
             basis = subspace_basis_dense(state)
-            gram = basis.vectors @ basis.vectors.T
-            np.testing.assert_allclose(gram, np.eye(basis.dim), atol=1e-10)
+            gram = basis @ basis.T
+            np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-10)
 
     def test_dimension_formula(self):
         state = gauge_to(random_mps(4, 2, 2, seed=1), 1)
-        assert subspace_basis_dense(state).dim == 2 * 2 * 2
+        assert len(subspace_basis_dense(state)) == 2 * 2 * 2
 
 
 class TestProjection:
@@ -42,7 +42,7 @@ class TestProjection:
         # build a target orthogonal to every basis vector
         rng = np.random.default_rng(5)
         v = rng.standard_normal(8)
-        v -= basis.vectors.T @ (basis.vectors @ v)
+        v -= basis.T @ (basis @ v)
         v /= np.linalg.norm(v)
         proj, norm = project_onto_subspace_dense(DenseState(3, 2, v), basis)
         assert norm < 1e-12
