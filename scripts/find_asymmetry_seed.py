@@ -20,7 +20,7 @@ def check_seed(seed, n=4, d=2, chi=2, site=1):
     state = gauge_to(random_mps(n, d, chi, seed), site)
     target = named_state("random", n, d, seed=seed + 1000)
     psi_prev = mps_to_dense(state).amplitudes
-    state, _ = optimal_update(state, target)
+    state, _, _ = optimal_update(state, target)
     psi_k = mps_to_dense(state).amplitudes
     state = shift_center(state, "right")
     basis = subspace_basis_dense(state)

@@ -6,7 +6,8 @@ linear subspace whose unit vectors are a lower-dimensional sphere; the
 closest unit vector to the target is the normalized orthogonal
 projection, and its coordinates are obtained by contracting the target
 against the frozen cores. The engine performs that update, sweeps the
-center along the chain, and records the trajectory.
+center along the chain, and records what each update measured: its
+place in the run, its overlap with the target and whether it stalled.
 
 The target is contracted against the frozen cores by the middle-bond fold
 of ``mps`` (``left_start``, ``left_env``, ``right_env``; see that module's
@@ -71,16 +72,24 @@ STALL_EPS = 1e-14
 
 @dataclass(frozen=True)
 class MetricRecord:
-    """One row of the training trajectory."""
+    """One row of the training trajectory; angle and distance derive from overlap."""
 
     step: int
     sweep: int
     site: int
     direction: str  # "L" or "R"
     overlap: float
-    angle: float
-    distance: float
     stalled: bool
+
+    @property
+    def angle(self) -> float:
+        """Geodesic angle to the target on the unit sphere, arccos(overlap)."""
+        return math.acos(max(-1.0, min(1.0, self.overlap)))
+
+    @property
+    def distance(self) -> float:
+        """Chord distance to the target, sqrt(2 - 2 overlap)."""
+        return math.sqrt(max(0.0, 2.0 - 2.0 * self.overlap))
 
 
 @dataclass(frozen=True)
@@ -143,53 +152,32 @@ def compute_projection_tensor(state: MPS, target: DenseState) -> tuple[np.ndarra
 
 
 def _closest_point(
-    cores: list[np.ndarray],
-    site: int,
-    coeffs: np.ndarray,
-    norm: float,
-    step: int,
-    sweep_index: int,
-    direction: str,
-) -> MetricRecord:
-    """Set the center ``cores[site]`` to the normalized projection and record the step."""
+    cores: list[np.ndarray], site: int, coeffs: np.ndarray, norm: float
+) -> tuple[float, bool]:
+    """Set ``cores[site]`` to the normalized projection; return (overlap, stalled)."""
     if norm <= STALL_EPS:
         # the state lies in the subspace, so its overlap is its center's
         # inner product with the projection coefficients
-        overlap = float(np.vdot(cores[site], coeffs))
-        stalled = True
-    else:
-        cores[site] = coeffs / norm
-        overlap = norm
-        stalled = False
-    return MetricRecord(
-        step=step,
-        sweep=sweep_index,
-        site=site,
-        direction=direction,
-        overlap=overlap,
-        angle=math.acos(max(-1.0, min(1.0, overlap))),
-        distance=math.sqrt(max(0.0, 2.0 - 2.0 * overlap)),
-        stalled=stalled,
-    )
+        return float(np.vdot(cores[site], coeffs)), True
+    cores[site] = coeffs / norm
+    return norm, False
 
 
-def optimal_update(state: MPS, target: DenseState) -> tuple[MPS, MetricRecord]:
+def optimal_update(state: MPS, target: DenseState) -> tuple[MPS, float, bool]:
     """Replace the center core with the closest-point solution.
 
-    The new center is the normalized projection tensor, so the updated
-    state is the unit vector of the current subspace closest to the
-    target and its overlap equals the projection norm. If the projection
-    norm is at or below ``STALL_EPS`` the state is returned unchanged, the
-    record is flagged as stalled and its overlap is taken from the
-    projection coefficients, with no further read of the target. The
-    record is numbered as step 0 of sweep 0, direction "R".
+    Returns (state, overlap, stalled). The new center is the normalized
+    projection tensor, so the updated state is the unit vector of the
+    current subspace closest to the target and its overlap equals the
+    projection norm. If the projection norm is at or below ``STALL_EPS``
+    the input state object is returned, stalled is True and the overlap is
+    taken from the projection coefficients, with no further read of the
+    target.
     """
     coeffs, norm = compute_projection_tensor(state, target)
     sites = list(state.sites)
-    record = _closest_point(sites, state.center, coeffs, norm, 0, 0, "R")
-    if record.stalled:
-        return state, record
-    return replace(state, sites=tuple(sites)), record
+    overlap, stalled = _closest_point(sites, state.center, coeffs, norm)
+    return (state if stalled else replace(state, sites=tuple(sites))), overlap, stalled
 
 
 @dataclass(frozen=True)
@@ -262,7 +250,8 @@ def sweep(
         if norm <= STALL_EPS and factor is not None:
             side = "right" if direction == "R" else "left"
             cores[site] = absorb_factor(cores[site], factor, side)
-        records.append(_closest_point(cores, site, coeffs, norm, k, sweep_index, direction))
+        overlap, stalled = _closest_point(cores, site, coeffs, norm)
+        records.append(MetricRecord(k, sweep_index, site, direction, overlap, stalled))
     state = MPS(sites=tuple(cores), center=0)
     return state, records, SweepCarry(state=state, target=target, right=tuple(right))
 

@@ -8,12 +8,11 @@ vector per row.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
 
-from .errors import InputError
+from .errors import GaugeError, InputError
 from .mps import MPS, dense_amplitudes
 from .target import DenseState
 
@@ -45,23 +44,20 @@ def project_onto_subspace_dense(
 ) -> tuple[np.ndarray, float]:
     """Orthogonal projection of the target onto the span of the rows of ``vectors``.
 
-    If the rows fail the orthonormality check (a gauge bug upstream),
-    they are re-orthonormalized first and a warning is emitted; the
-    fallback is never silent.
+    Raises ``GaugeError`` unless the rows are orthonormal within
+    ``ORTHO_TOL``: a gauge bug upstream is refused, not repaired.
     """
     if vectors.shape[1] != target.dim:
         raise InputError(
             f"basis vectors have length {vectors.shape[1]}, target has {target.dim}"
         )
-    gram = vectors @ vectors.T
-    if np.max(np.abs(gram - np.eye(len(vectors)))) > ORTHO_TOL:
-        warnings.warn(
-            "subspace basis is not orthonormal; re-orthonormalizing "
-            "(source state violates the mixed-canonical gauge)",
-            stacklevel=2,
+    defect = float(np.max(np.abs(vectors @ vectors.T - np.eye(len(vectors)))))
+    # written so that NaN fails too
+    if not defect <= ORTHO_TOL:
+        raise GaugeError(
+            f"subspace basis is not orthonormal: Gram defect {defect:.3e} "
+            f"exceeds {ORTHO_TOL:g} (the state violates the mixed-canonical gauge)"
         )
-        q, _ = np.linalg.qr(vectors.T)
-        vectors = q.T
     coeffs = vectors @ target.amplitudes
     projection = vectors.T @ coeffs
     return projection, float(np.linalg.norm(projection))

@@ -57,8 +57,8 @@ def oracle_check(config: TrainConfig) -> list[str]:
                 f"{at}: projection coefficients differ by {err:.3e}"
             )
         dense_proj, norm = project_onto_subspace_dense(target, basis)
-        updated, update_record = optimal_update(state, target)
-        if not update_record.stalled:
+        updated, _, stalled = optimal_update(state, target)
+        if not stalled:
             got = mps_to_dense(updated).amplitudes
             err = float(np.max(np.abs(got - dense_proj / norm)))
             if err > STATE_TOL:

@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere_dmrg import engine
+from sphere_dmrg import engine, verify
 from sphere_dmrg.cli import CSV_HEADER, main
 from sphere_dmrg.mps import mps_from_json_dict, mps_to_dense
 
@@ -87,6 +88,29 @@ class TestRunCommand:
             assert fields[7] in {"0", "1"}
             overlap = float(fields[4])
             assert -1 - 1e-12 <= overlap <= 1 + 1e-12
+
+    @pytest.mark.parametrize("extra, stall_eps", [
+        (("--bond-dim", "1", "--target", "named:basis:5"), None),
+        # a raised threshold makes a share of the updates stall, overlaps below 0 included
+        (("--sites", "6", "--target", "named:random:5"), 0.3),
+        (("--sites", "4", "--phys-dim", "3", "--bond-dim", "3", "--target", "named:random:7"),
+         None),
+    ])
+    def test_every_row_derives_angle_and_distance_from_its_overlap(
+        self, tmp_path, monkeypatch, extra, stall_eps
+    ):
+        if stall_eps is not None:
+            monkeypatch.setattr(engine, "STALL_EPS", stall_eps)
+        assert run(tmp_path, "--max-sweeps", "4", *extra) == 0
+        rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+        stalled = 0
+        for row in rows:
+            fields = row.split(",")
+            overlap, angle, distance = map(float, fields[4:7])
+            assert angle == math.acos(max(-1.0, min(1.0, overlap))), row
+            assert distance == math.sqrt(max(0.0, 2.0 - 2.0 * overlap)), row
+            stalled += fields[7] == "1"
+        assert (stalled > 0) == (stall_eps is not None)
 
     def test_final_mps_round_trips(self, tmp_path):
         assert run(tmp_path) == 0
@@ -231,6 +255,37 @@ class TestRunCommand:
         assert "Traceback" not in captured.err
         assert captured.err.count("\n") == 1
         assert f"{2**3 * 8} bytes" in captured.err  # d**n * 8 for --sites 3
+        assert os.listdir(tmp_path / "out") == []
+
+    @pytest.mark.parametrize("sites, bond_dim, target_bytes, basis_bytes, patched", [
+        # the widest center at n=3, chi=2 is (2, 2, 2): 8 rows of 2**3 amplitudes
+        (3, 2, 2**3 * 8, 8 * 2**3 * 8, "oracle"),
+        # n=20, chi=8: (8, 2, 8), 128 rows of 2**20 amplitudes, 1 GiB
+        (20, 8, 2**20 * 8, 2**30, "target"),
+    ])
+    def test_out_of_memory_under_oracle_check_names_the_basis(
+        self, tmp_path, capsys, monkeypatch, sites, bond_dim, target_bytes, basis_bytes,
+        patched,
+    ):
+        # raised where the allocation would fail, without allocating
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        if patched == "oracle":
+            monkeypatch.setattr(verify, "subspace_basis_dense", refuse)
+        else:
+            monkeypatch.setattr(engine, "resolve_target", refuse)
+        code = main([
+            "--sites", str(sites), "--bond-dim", str(bond_dim), "--seed", "1",
+            "--target", "named:random:5", "--out", str(tmp_path / "out"), "--oracle-check",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory")
+        assert captured.err.count("\n") == 1
+        assert f"needs {target_bytes} bytes" in captured.err
+        assert f"largest subspace basis needs {basis_bytes} bytes" in captured.err
         assert os.listdir(tmp_path / "out") == []
 
     def test_no_partial_output_on_failure(self, tmp_path):

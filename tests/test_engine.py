@@ -9,6 +9,7 @@ import pytest
 from sphere_dmrg import engine, mps
 from sphere_dmrg.engine import (
     STALL_EPS,
+    MetricRecord,
     TrainConfig,
     compute_projection_tensor,
     optimal_update,
@@ -77,20 +78,20 @@ class TestOptimalUpdate:
     def test_single_site_reaches_target(self):
         state = random_mps(1, 2, 3, seed=2)
         target = named_state("random", 1, 2, seed=3)
-        new_state, rec = optimal_update(state, target)
+        new_state, overlap, stalled = optimal_update(state, target)
         np.testing.assert_allclose(
             mps_to_dense(new_state).amplitudes, target.amplitudes, atol=1e-14
         )
-        assert abs(rec.overlap - 1.0) < 1e-12
-        assert not rec.stalled
+        assert abs(overlap - 1.0) < 1e-12
+        assert not stalled
 
     def test_stall_keeps_state_bitwise(self):
         state = fixed_site1_mps()
         target = named_state("basis:1", 2, 2)
-        new_state, rec = optimal_update(state, target)
-        assert rec.stalled
+        new_state, overlap, stalled = optimal_update(state, target)
+        assert stalled
         assert new_state is state
-        assert abs(rec.overlap) < 1e-14
+        assert abs(overlap) < 1e-14
 
     def test_stalled_overlap_equals_dense_overlap(self):
         # |00> sees the target only through its 1e-15 amplitude on |00>,
@@ -99,10 +100,10 @@ class TestOptimalUpdate:
         amps = np.array([1e-15, math.sqrt(1 - 1e-30), 0.0, 0.0])
         target = DenseState(n=2, d=2, amplitudes=amps)
         assert compute_projection_tensor(state, target)[1] <= STALL_EPS
-        _, rec = optimal_update(state, target)
-        assert rec.stalled
-        assert math.isclose(rec.overlap, 1e-15, rel_tol=1e-9)
-        assert abs(rec.overlap - overlap_dense(state, target)) <= 1e-15
+        _, overlap, stalled = optimal_update(state, target)
+        assert stalled
+        assert math.isclose(overlap, 1e-15, rel_tol=1e-9)
+        assert abs(overlap - overlap_dense(state, target)) <= 1e-15
 
     def test_matches_normalized_dense_projection(self):
         for seed in range(5):
@@ -110,39 +111,54 @@ class TestOptimalUpdate:
             target = named_state("random", 3, 2, seed=seed + 200)
             basis = subspace_basis_dense(state)
             proj, norm = project_onto_subspace_dense(target, basis)
-            new_state, rec = optimal_update(state, target)
+            new_state, overlap, _ = optimal_update(state, target)
             np.testing.assert_allclose(
                 mps_to_dense(new_state).amplitudes, proj / norm, atol=1e-10
             )
-            assert abs(rec.overlap - norm) < 1e-12
+            assert abs(overlap - norm) < 1e-12
 
     def test_no_sampled_candidate_beats_update(self):
         state = gauge_to(random_mps(4, 2, 2, seed=11), 2)
         target = named_state("random", 4, 2, seed=12)
         basis = subspace_basis_dense(state)
-        _, rec = optimal_update(state, target)
+        _, overlap, _ = optimal_update(state, target)
         rng = np.random.default_rng(99)
         coeffs = rng.standard_normal((1000, len(basis)))
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
         candidates = coeffs @ basis
         overlaps = candidates @ target.amplitudes
-        assert np.max(overlaps) <= rec.overlap + 1e-12
+        assert np.max(overlaps) <= overlap + 1e-12
 
     def test_record_consistency(self):
         state = gauge_to(random_mps(4, 2, 2, seed=21), 1)
         target = named_state("random", 4, 2, seed=22)
-        _, rec = optimal_update(state, target)
+        _, overlap, stalled = optimal_update(state, target)
+        rec = MetricRecord(0, 0, 1, "R", overlap, stalled)
         assert -1.0 - 1e-12 <= rec.overlap <= 1.0 + 1e-12
         assert abs(rec.distance**2 + 2 * rec.overlap - 2.0) < 1e-12
         assert abs(rec.angle - math.acos(min(1.0, max(-1.0, rec.overlap)))) < 1e-15
         assert abs(rec.distance - 2 * math.sin(rec.angle / 2)) < 1e-10
+
+    @pytest.mark.parametrize("overlap, angle, distance", [
+        (1.0 + 2**-52, 0.0, 0.0),  # both clamps act
+        (-1.0 - 2**-52, math.pi, 2.0),  # 4 + 2**-51 rounds to 4
+        (1.0, 0.0, 0.0),
+        (0.0, math.pi / 2, math.sqrt(2.0)),
+    ])
+    def test_record_derives_angle_and_distance(self, overlap, angle, distance):
+        rec = MetricRecord(0, 0, 0, "R", overlap, False)
+        assert (rec.angle, rec.distance) == (angle, distance)
+
+    def test_record_stores_only_what_the_update_measured(self):
+        names = [f.name for f in dataclasses.fields(MetricRecord)]
+        assert names == ["step", "sweep", "site", "direction", "overlap", "stalled"]
 
     def test_invariants_after_update(self):
         from sphere_dmrg.mps import gauge_defect
 
         state = gauge_to(random_mps(5, 2, 4, seed=31), 3)
         target = named_state("random", 5, 2, seed=32)
-        new_state, _ = optimal_update(state, target)
+        new_state, _, _ = optimal_update(state, target)
         assert gauge_defect(new_state) < 1e-10
         assert abs(np.linalg.norm(mps_to_dense(new_state).amplitudes) - 1.0) < 1e-10
 
@@ -205,11 +221,11 @@ class TestSweepFold:
             for k in range(2):
                 state, records, _ = sweep(state, target, k)
                 for j, (rec, (site, direction)) in enumerate(zip(records, schedule)):
-                    replay, expected = optimal_update(gauge_to(replay, site), target)
+                    replay, overlap, stalled = optimal_update(gauge_to(replay, site), target)
                     assert (rec.step, rec.sweep, rec.site, rec.direction, rec.stalled) == (
-                        k * len(schedule) + j, k, expected.site, direction, expected.stalled,
+                        k * len(schedule) + j, k, replay.center, direction, stalled,
                     ), (n, d, chi)
-                    assert abs(rec.overlap - expected.overlap) < 1e-12, (n, d, chi, rec)
+                    assert abs(rec.overlap - overlap) < 1e-12, (n, d, chi, rec)
                 assert len(records) == len(schedule)
                 replay = gauge_to(replay, 0)
             np.testing.assert_allclose(
@@ -278,8 +294,8 @@ class TestSweepGaugeFactor:
             for k in range(2):
                 state, records, carry = sweep(state, target, k, carry)
                 for rec, (site, _) in zip(records, schedule):
-                    replay, expected = optimal_update(gauge_to(replay, site), target)
-                    assert (rec.overlap, rec.stalled) == (expected.overlap, expected.stalled), (
+                    replay, overlap, stalled = optimal_update(gauge_to(replay, site), target)
+                    assert (rec.overlap, rec.stalled) == (overlap, stalled), (
                         eps, rec,
                     )
                     mid_sweep_stalls += rec.stalled and rec.step % len(schedule) > 0

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sphere_dmrg.errors import InputError
+from sphere_dmrg.errors import GaugeError, InputError
 from sphere_dmrg.mps import gauge_to, mps_to_dense, random_mps
 from sphere_dmrg.oracle import project_onto_subspace_dense, subspace_basis_dense
 from sphere_dmrg.target import DenseState, named_state
@@ -71,16 +73,18 @@ class TestProjection:
         with pytest.raises(InputError):
             project_onto_subspace_dense(named_state("uniform", 4, 2), basis)
 
-    def test_fallback_warns_on_broken_gauge(self):
+    def test_refuses_broken_gauge(self):
         state = random_mps(4, 2, 2, seed=2)
         sites = list(state.sites)
         sites[2] = sites[2] * 3.0  # destroy the right-isometry property
-        import dataclasses
-
         broken = dataclasses.replace(state, sites=tuple(sites))
         basis = subspace_basis_dense(broken)
         target = named_state("random", 4, 2, seed=50)
-        with pytest.warns(UserWarning, match="not orthonormal"):
-            proj, norm = project_onto_subspace_dense(target, basis)
-        # projection is still onto the span, hence idempotent
-        assert 0.0 <= norm <= 1.0 + 1e-12
+        with pytest.raises(GaugeError, match="not orthonormal"):
+            project_onto_subspace_dense(target, basis)
+
+    def test_refuses_nan_basis(self):
+        basis = subspace_basis_dense(gauge_to(random_mps(4, 2, 2, seed=2), 1))
+        basis[0, 3] = np.nan
+        with pytest.raises(GaugeError, match="not orthonormal"):
+            project_onto_subspace_dense(named_state("random", 4, 2, seed=50), basis)
