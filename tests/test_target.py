@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sphere_dmrg.errors import InputError
@@ -260,6 +260,66 @@ class TestTargetFiles:
         assert load_target_file(str(path), n=3, d=2).amplitudes.tobytes() == expected.tobytes()
 
 
+JSON_KEYS = st.text("0123456789", max_size=5) | st.text(max_size=3)
+JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),  # NaN and +-Infinity among them
+    st.integers(-3, 5),
+    st.integers(2**1024, 2**1100),  # past float64, both signs
+    st.integers(-(2**1100), -(2**1024)),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+# 80 = 3**4 - 1: ``index % d**n`` reaches every basis state of each (n, d) drawn below
+INDEX = st.integers(0, 80)
+COUNT_ENTRIES = st.lists(st.tuples(INDEX, st.integers(1, 9) | st.floats(0.5, 9)), min_size=1, max_size=5)
+
+
+def digit_string(index, n, d):
+    """The big-endian base-d digits of ``index % d**n``, n of them."""
+    return "".join(str(index // d**(n - 1 - i) % d) for i in range(n))
+
+
+@st.composite
+def target_documents(draw):
+    """``(n, d, doc)``: a target file for (n, d) with at most one fault, or any JSON value."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        entries = {digit_string(k, n, d): c for k, c in draw(COUNT_ENTRIES)}
+        doc = {"kind": "counts", "d": d, "counts": entries}
+    else:
+        entries = [0] * d**n
+        entries[draw(INDEX) % d**n] = 1
+        doc = {"kind": "amplitudes", "n": n, "d": d, "amplitudes": entries}
+    fault = draw(st.sampled_from(["none", "entry", "size", "kind", "payload", "missing", "document"]))
+    if fault == "entry" and isinstance(entries, list):  # one amplitude swapped for any leaf
+        entries[draw(INDEX) % d**n] = draw(JSON_LEAVES)
+    elif fault == "entry":  # one count set to any leaf, under a run key or any key
+        key = draw(INDEX | JSON_KEYS)
+        entries[digit_string(key, n, d) if isinstance(key, int) else key] = draw(JSON_LEAVES)
+    elif fault == "size":  # the right size as the wrong type, the wrong size, or any value
+        field = draw(st.sampled_from(["n", "d"]))
+        size = {"n": n, "d": d}[field]
+        doc[field] = draw(st.sampled_from([float(size), str(size), True, size + 1]) | JSON_VALUES)
+    elif fault == "kind":
+        doc["kind"] = draw(st.sampled_from(["counts", "amplitudes", "other"]) | JSON_VALUES)
+    elif fault == "payload":  # a plain list (for counts, its keys) or any value
+        doc[doc["kind"]] = draw(st.just(list(entries)) | JSON_VALUES)
+    elif fault == "missing":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif fault == "document":
+        doc = draw(JSON_VALUES)
+    return n, d, doc
+
+
 class TestResolveTarget:
     def test_named(self):
         state = resolve_target("named:ghz", 2, 2)
@@ -357,3 +417,19 @@ class TestResolveTarget:
         assert resolve_target(f"file:{path}", 1, 2).amplitudes[0] == 1.0
         with pytest.raises(InputError, match="is not a counts target file"):
             resolve_target(f"counts:{path}", 1, 2)
+
+    # every example rewrites the same file
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=target_documents())
+    def test_file_spec_loads_or_refuses(self, tmp_path, case):
+        """Any JSON document given as file: or counts: loads as an (n, d) state or is refused."""
+        n, d, doc = case
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc, allow_nan=True))
+        for prefix in ("file:", "counts:"):
+            try:
+                state = resolve_target(f"{prefix}{path}", n, d)
+            except InputError:
+                continue
+            assert isinstance(state, DenseState)
+            assert (state.n, state.d) == (n, d)
