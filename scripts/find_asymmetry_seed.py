@@ -11,7 +11,7 @@ seed is frozen into tests/test_acceptance.py.
 import argparse
 
 from sphere_dmrg.engine import optimal_update
-from sphere_dmrg.mps import gauge_to, mps_to_dense, random_mps
+from sphere_dmrg.mps import dense_amplitudes, gauge_to, random_mps
 from sphere_dmrg.oracle import project_onto_subspace_dense, subspace_basis_dense
 from sphere_dmrg.target import DenseState, named_state
 
@@ -19,9 +19,9 @@ from sphere_dmrg.target import DenseState, named_state
 def check_seed(seed, n=4, d=2, chi=2, site=1):
     state = gauge_to(random_mps(n, d, chi, seed), site)
     target = named_state("random", n, d, seed=seed + 1000)
-    psi_prev = mps_to_dense(state).amplitudes
+    psi_prev = dense_amplitudes(state)
     state, _, _ = optimal_update(state, target)
-    psi_k = mps_to_dense(state).amplitudes
+    psi_k = dense_amplitudes(state)
     state = gauge_to(state, state.center + 1)
     basis = subspace_basis_dense(state)
     _, norm_k = project_onto_subspace_dense(DenseState(n, d, psi_k), basis)

@@ -10,8 +10,9 @@ tests/test_acceptance.py as RECOVERY_GOLDEN_OVERLAP.
 import dataclasses
 
 from sphere_dmrg.engine import sweep_schedule
-from sphere_dmrg.mps import gauge_to, mps_to_dense, random_mps
+from sphere_dmrg.mps import dense_amplitudes, gauge_to, random_mps
 from sphere_dmrg.oracle import project_onto_subspace_dense, subspace_basis_dense
+from sphere_dmrg.target import DenseState
 
 TARGET_SEED = 7
 TRAIN_SEED = 8
@@ -34,7 +35,7 @@ def golden_overlap(log=lambda line: None):
     Returns the converged overlap, or None after 100 sweeps; ``log`` gets
     one line per sweep.
     """
-    target = mps_to_dense(random_mps(N, D, CHI, TARGET_SEED))
+    target = DenseState(N, D, dense_amplitudes(random_mps(N, D, CHI, TARGET_SEED)))
     state = random_mps(N, D, CHI, TRAIN_SEED)
     prev_last = None
     for k in range(100):

@@ -273,11 +273,6 @@ def dense_amplitudes(state: MPS) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def mps_to_dense(state: MPS) -> DenseState:
-    """Contract the chain into the full amplitude vector (big-endian)."""
-    return DenseState(n=state.n, d=state.d, amplitudes=dense_amplitudes(state))
-
-
 def left_start(m: int, t: np.ndarray) -> np.ndarray:
     """Left environment of site 0: the empty block, or for n = 1 the target."""
     return np.ones((1, 1)) if m else t.reshape(1, -1)

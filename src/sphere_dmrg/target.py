@@ -254,6 +254,7 @@ def load_target_file(path: str, n: int, d: int, kind: str | None = None) -> Dens
         return state_from_counts(counts, d=file_d)
     # before any size arithmetic, which the file's own n could make huge
     _check_sizes(path, json_int(doc.get("n"), f"field 'n' in {path}"), file_d, n, d)
+    check_dense_guard(n, d)
     amps = number_array(doc.get("amplitudes"), f"field 'amplitudes' in {path}")
     with np.errstate(over="ignore"):  # a norm past float64 is inf, refused below
         norm = float(np.linalg.norm(amps))

@@ -14,7 +14,7 @@ from .engine import (
     sweep,
     sweep_schedule,
 )
-from .mps import gauge_to, mps_to_dense, random_mps
+from .mps import dense_amplitudes, gauge_to, random_mps
 from .oracle import project_onto_subspace_dense, subspace_basis_dense
 from .target import resolve_target
 
@@ -59,7 +59,7 @@ def oracle_check(config: TrainConfig) -> list[str]:
         dense_proj, norm = project_onto_subspace_dense(target, basis)
         updated, _, stalled = optimal_update(state, target)
         if not stalled:
-            got = mps_to_dense(updated).amplitudes
+            got = dense_amplitudes(updated)
             err = float(np.max(np.abs(got - dense_proj / norm)))
             if err > STATE_TOL:
                 mismatches.append(
@@ -72,7 +72,7 @@ def oracle_check(config: TrainConfig) -> list[str]:
             state = replace(state, sites=tuple(sites))
             overlap = norm
         else:
-            overlap = float(mps_to_dense(state).amplitudes @ target.amplitudes)
+            overlap = float(dense_amplitudes(state) @ target.amplitudes)
         err = abs(record.overlap - overlap)
         if not err <= COEFF_TOL:
             mismatches.append(
@@ -80,7 +80,7 @@ def oracle_check(config: TrainConfig) -> list[str]:
                 f"{record.overlap!r}, oracle projection norm {overlap!r}"
             )
     err = float(np.max(np.abs(
-        mps_to_dense(swept).amplitudes - mps_to_dense(state).amplitudes
+        dense_amplitudes(swept) - dense_amplitudes(state)
     )))
     if not err <= STATE_TOL:
         mismatches.append(

@@ -16,9 +16,9 @@ import numpy as np
 from sphere_dmrg.engine import TrainConfig, train
 from sphere_dmrg.cli import main
 from sphere_dmrg.mps import (
+    dense_amplitudes,
     gauge_defect,
     gauge_to,
-    mps_to_dense,
     overlap_dense,
     random_mps,
     shift_center,
@@ -123,11 +123,11 @@ RECOVERY_GOLDEN_OVERLAP = 0.9999999999999992
 
 
 def test_c5_exact_recovery_regression(tmp_path):
-    target = mps_to_dense(random_mps(4, 2, 2, seed=7))
+    amplitudes = dense_amplitudes(random_mps(4, 2, 2, seed=7))
     path = tmp_path / "target.json"
     path.write_text(json.dumps({
         "kind": "amplitudes", "n": 4, "d": 2,
-        "amplitudes": target.amplitudes.tolist(),
+        "amplitudes": amplitudes.tolist(),
     }))
     cfg = TrainConfig(
         n=4, d=2, chi=2, seed=8, target=f"file:{path}", tol=1e-10, max_sweeps=100
@@ -166,14 +166,14 @@ def test_c6_gauge_noop_suite():
     moves = 0
     for seed in range(20):
         state = random_mps(6, 2, 4, seed=seed)
-        reference = mps_to_dense(state).amplitudes
+        reference = dense_amplitudes(state)
         for _ in range(25):
             direction = "right" if state.center < state.n - 1 else "left"
             # bounce between the chain ends
             if state.center == 0:
                 direction = "right"
             state = shift_center(state, direction)
-            dense = mps_to_dense(state).amplitudes
+            dense = dense_amplitudes(state)
             assert np.linalg.norm(dense - reference) < 1e-12
             assert gauge_defect(state) < 1e-10
             reference = dense
@@ -182,11 +182,11 @@ def test_c6_gauge_noop_suite():
     # left-moving pass
     for seed in range(20):
         state = gauge_to(random_mps(6, 2, 4, seed=seed + 100), 5)
-        reference = mps_to_dense(state).amplitudes
+        reference = dense_amplitudes(state)
         for _ in range(25):
             direction = "left" if state.center > 0 else "right"
             state = shift_center(state, direction)
-            dense = mps_to_dense(state).amplitudes
+            dense = dense_amplitudes(state)
             assert np.linalg.norm(dense - reference) < 1e-12
             assert gauge_defect(state) < 1e-10
             reference = dense

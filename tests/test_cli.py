@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -6,13 +7,14 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere_dmrg import engine, verify
+from sphere_dmrg import cli, engine, verify
 from sphere_dmrg.cli import CSV_HEADER, main
-from sphere_dmrg.mps import mps_from_json_dict, mps_to_dense
+from sphere_dmrg.mps import dense_amplitudes, mps_from_json_dict
 
 
 def run(tmp_path, *extra, out="out"):
@@ -117,7 +119,7 @@ class TestRunCommand:
         doc = json.loads((tmp_path / "out" / "final_mps.json").read_text())
         state = mps_from_json_dict(doc)
         assert state.n == 3
-        dense = mps_to_dense(state).amplitudes
+        dense = dense_amplitudes(state)
         assert abs(sum(x * x for x in dense) - 1.0) < 1e-10
 
     def test_file_target(self, tmp_path):
@@ -286,6 +288,21 @@ class TestRunCommand:
         assert captured.err.count("\n") == 1
         assert f"needs {target_bytes} bytes" in captured.err
         assert f"largest subspace basis needs {basis_bytes} bytes" in captured.err
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_non_finite_output_exit_1_and_no_output(self, tmp_path, capsys, monkeypatch):
+        train = cli.train
+
+        def nan_core(config):
+            state, trajectory, reason = train(config)
+            sites = (np.full_like(state.sites[0], np.nan),) + state.sites[1:]
+            return dataclasses.replace(state, sites=sites), trajectory, reason
+
+        monkeypatch.setattr(cli, "train", nan_core)
+        assert run(tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "error: Out of range float values are not JSON compliant\n"
+        )
         assert os.listdir(tmp_path / "out") == []
 
     def test_no_partial_output_on_failure(self, tmp_path):

@@ -18,7 +18,7 @@ from sphere_dmrg.engine import (
     train,
 )
 from sphere_dmrg.errors import GaugeError, InputError
-from sphere_dmrg.mps import MPS, gauge_to, mps_to_dense, overlap_dense, random_mps
+from sphere_dmrg.mps import MPS, dense_amplitudes, gauge_to, overlap_dense, random_mps
 from sphere_dmrg.oracle import project_onto_subspace_dense, subspace_basis_dense
 from sphere_dmrg.target import DenseState, named_state
 
@@ -80,7 +80,7 @@ class TestOptimalUpdate:
         target = named_state("random", 1, 2, seed=3)
         new_state, overlap, stalled = optimal_update(state, target)
         np.testing.assert_allclose(
-            mps_to_dense(new_state).amplitudes, target.amplitudes, atol=1e-14
+            dense_amplitudes(new_state), target.amplitudes, atol=1e-14
         )
         assert abs(overlap - 1.0) < 1e-12
         assert not stalled
@@ -113,7 +113,7 @@ class TestOptimalUpdate:
             proj, norm = project_onto_subspace_dense(target, basis)
             new_state, overlap, _ = optimal_update(state, target)
             np.testing.assert_allclose(
-                mps_to_dense(new_state).amplitudes, proj / norm, atol=1e-10
+                dense_amplitudes(new_state), proj / norm, atol=1e-10
             )
             assert abs(overlap - norm) < 1e-12
 
@@ -160,18 +160,18 @@ class TestOptimalUpdate:
         target = named_state("random", 5, 2, seed=32)
         new_state, _, _ = optimal_update(state, target)
         assert gauge_defect(new_state) < 1e-10
-        assert abs(np.linalg.norm(mps_to_dense(new_state).amplitudes) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(dense_amplitudes(new_state)) - 1.0) < 1e-10
 
 
 class TestSweep:
     def test_fixed_point(self):
         state = random_mps(4, 2, 2, seed=41)
-        target = mps_to_dense(state)
+        target = DenseState(4, 2, dense_amplitudes(state))
         before = target.amplitudes
         new_state, records, _ = sweep(state, target, 0)
         for rec in records:
             assert abs(rec.overlap - 1.0) < 1e-10
-        assert np.linalg.norm(mps_to_dense(new_state).amplitudes - before) < 1e-10
+        assert np.linalg.norm(dense_amplitudes(new_state) - before) < 1e-10
 
     def test_schedule_and_record_count(self):
         state = random_mps(4, 2, 2, seed=42)
@@ -229,7 +229,7 @@ class TestSweepFold:
                 assert len(records) == len(schedule)
                 replay = gauge_to(replay, 0)
             np.testing.assert_allclose(
-                mps_to_dense(state).amplitudes, mps_to_dense(replay).amplitudes,
+                dense_amplitudes(state), dense_amplitudes(replay),
                 atol=1e-12,
             )
 

@@ -20,7 +20,6 @@ from sphere_dmrg.mps import (
     gauge_to,
     left_defect,
     mps_from_json_dict,
-    mps_to_dense,
     mps_to_json_dict,
     overlap_dense,
     qr_orthonormalize,
@@ -29,7 +28,7 @@ from sphere_dmrg.mps import (
     shift_center,
     split_core,
 )
-from sphere_dmrg.target import named_state, resolve_target
+from sphere_dmrg.target import DenseState, named_state, resolve_target
 
 from conftest import loop_contract
 
@@ -173,7 +172,7 @@ class TestShiftCenter:
         shifted = shift_center(state, "right")
         assert shifted.center == 1
         np.testing.assert_array_equal(
-            mps_to_dense(shifted).amplitudes, [1.0, 0.0, 0.0, 0.0]
+            dense_amplitudes(shifted), [1.0, 0.0, 0.0, 0.0]
         )
 
     def test_rank_deficient_bond_shifts_exactly(self):
@@ -184,7 +183,7 @@ class TestShiftCenter:
         state = MPS(sites=(a0, a1), center=0)
         shifted = shift_center(state, "right")
         np.testing.assert_allclose(
-            mps_to_dense(shifted).amplitudes, [1.0, 0.0, 0.0, 0.0], atol=1e-15
+            dense_amplitudes(shifted), [1.0, 0.0, 0.0, 0.0], atol=1e-15
         )
         assert left_defect(shifted.sites[0]) < 1e-12
         back = shift_center(shifted, "left")
@@ -192,9 +191,9 @@ class TestShiftCenter:
 
     def test_dense_state_preserved(self):
         state = random_mps(4, 2, 3, seed=4)
-        before = mps_to_dense(state).amplitudes
+        before = dense_amplitudes(state)
         state = shift_center(state, "right")
-        after = mps_to_dense(state).amplitudes
+        after = dense_amplitudes(state)
         assert np.linalg.norm(before - after) <= 1e-12
 
     def test_left_isometry_after_right_shift(self):
@@ -245,13 +244,13 @@ class TestShiftCenter:
     @settings(max_examples=40, deadline=None)
     def test_gauge_invariance_walk(self, seed, moves):
         state = random_mps(4, 2, 3, seed=seed)
-        reference = mps_to_dense(state).amplitudes
+        reference = dense_amplitudes(state)
         for go_right in moves:
             if go_right and state.center < state.n - 1:
                 state = shift_center(state, "right")
             elif not go_right and state.center > 0:
                 state = shift_center(state, "left")
-            assert np.linalg.norm(mps_to_dense(state).amplitudes - reference) <= 1e-12 * (
+            assert np.linalg.norm(dense_amplitudes(state) - reference) <= 1e-12 * (
                 len(moves) or 1
             )
             assert gauge_defect(state) < 1e-10
@@ -488,28 +487,28 @@ class TestQROrthonormalize:
                 )
 
 
-class TestMpsToDense:
+class TestDenseAmplitudes:
     def test_basis_product_state(self):
         state = product_state_mps([0, 0, 0])
-        amps = mps_to_dense(state).amplitudes
+        amps = dense_amplitudes(state)
         expected = np.zeros(8)
         expected[0] = 1.0
         np.testing.assert_array_equal(amps, expected)
 
     def test_big_endian_convention(self):
         # |100> must land at index 4
-        amps = mps_to_dense(product_state_mps([1, 0, 0])).amplitudes
+        amps = dense_amplitudes(product_state_mps([1, 0, 0]))
         assert amps[4] == 1.0
 
     def test_ghz(self):
-        amps = mps_to_dense(ghz_mps()).amplitudes
+        amps = dense_amplitudes(ghz_mps())
         expected = np.zeros(8)
         expected[0] = expected[7] = 1.0 / math.sqrt(2.0)
         np.testing.assert_allclose(amps, expected, atol=1e-15)
 
     def test_random_unit_norm(self):
         for seed in range(5):
-            amps = mps_to_dense(random_mps(5, 2, 4, seed=seed)).amplitudes
+            amps = dense_amplitudes(random_mps(5, 2, 4, seed=seed))
             assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -552,17 +551,17 @@ def test_engine_reexports_are_the_mps_functions():
 class TestOverlapDense:
     def test_self_overlap(self):
         state = random_mps(4, 2, 3, seed=6)
-        assert abs(overlap_dense(state, mps_to_dense(state)) - 1.0) < 1e-12
+        assert abs(overlap_dense(state, DenseState(4, 2, dense_amplitudes(state))) - 1.0) < 1e-12
 
     def test_orthogonal_basis_states(self):
         state = product_state_mps([0, 0, 0])
-        target = mps_to_dense(product_state_mps([1, 1, 1]))
+        target = DenseState(3, 2, dense_amplitudes(product_state_mps([1, 1, 1])))
         assert overlap_dense(state, target) == 0.0
 
     def test_matches_dense_dot(self):
         state = random_mps(5, 2, 4, seed=8)
         target = named_state("random", 5, 2, seed=21)
-        dense = mps_to_dense(state).amplitudes
+        dense = dense_amplitudes(state)
         assert abs(overlap_dense(state, target) - dense @ target.amplitudes) < 1e-12
 
     def test_dimension_mismatch(self):
@@ -602,7 +601,7 @@ class TestOverlapDense:
 class TestGaugeTo:
     def test_isometry_suite_all_centers(self):
         base = random_mps(5, 2, 4, seed=13)
-        reference = mps_to_dense(base).amplitudes
+        reference = dense_amplitudes(base)
         for c in range(5):
             state = gauge_to(base, c)
             assert state.center == c
@@ -612,7 +611,7 @@ class TestGaugeTo:
                 elif j > c:
                     assert right_defect(state.sites[j]) < 1e-10
             assert abs(np.linalg.norm(state.sites[c]) - 1.0) < 1e-10
-            assert np.linalg.norm(mps_to_dense(state).amplitudes - reference) < 1e-11
+            assert np.linalg.norm(dense_amplitudes(state) - reference) < 1e-11
 
     @pytest.mark.parametrize("n, d, chi", WALK_SIZES)
     def test_walk_is_the_formula_step_by_step(self, n, d, chi):
@@ -626,6 +625,16 @@ class TestGaugeTo:
                 assert [(core.shape, core.tobytes()) for core in state.sites] == [
                     (core.shape, core.tobytes()) for core in expected
                 ]
+
+    @pytest.mark.parametrize("center", [-1, 4])
+    def test_center_out_of_range(self, center):
+        with pytest.raises(InputError, match=rf"^center {center} out of range \[0, 4\)$"):
+            gauge_to(random_mps(4, 2, 2, seed=0), center)
+
+    def test_split_core_bad_direction(self):
+        core = random_mps(3, 2, 2, seed=0).sites[1]
+        with pytest.raises(InputError, match="^direction must be 'left' or 'right', got 'up'$"):
+            split_core(core, "up")
 
 
 class TestSerialization:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sphere_dmrg.errors import GaugeError, InputError
-from sphere_dmrg.mps import gauge_to, mps_to_dense, random_mps
+from sphere_dmrg.mps import dense_amplitudes, gauge_to, random_mps
 from sphere_dmrg.oracle import project_onto_subspace_dense, subspace_basis_dense
 from sphere_dmrg.target import DenseState, named_state
 
@@ -33,7 +33,7 @@ class TestProjection:
     def test_member_is_fixed(self):
         state = gauge_to(random_mps(4, 2, 2, seed=3), 2)
         basis = subspace_basis_dense(state)
-        target = mps_to_dense(state)
+        target = DenseState(4, 2, dense_amplitudes(state))
         proj, norm = project_onto_subspace_dense(target, basis)
         np.testing.assert_allclose(proj, target.amplitudes, atol=1e-12)
         assert abs(norm - 1.0) < 1e-12

@@ -250,6 +250,21 @@ class TestTargetFiles:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_amplitudes_guard_before_the_size_arithmetic(self, tmp_path):
+        # a matching n of 10**8 would make d**n a 12.5 MB integer
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(
+            {"kind": "amplitudes", "n": 10**8, "d": 2, "amplitudes": [1]}
+        ))
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="size guard"):
+                load_target_file(str(path), n=10**8, d=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_amplitudes_normalized_bit_equal_to_division(self, tmp_path):
         values = np.random.default_rng(1).standard_normal(8)
         values = (values * (1 + 3e-7) / np.linalg.norm(values)).tolist()
