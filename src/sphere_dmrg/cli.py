@@ -12,7 +12,7 @@ import time
 
 from .engine import MetricRecord, TrainConfig, train
 from .errors import InputError, SphereDMRGError
-from .mps import bond_dim, mps_to_json_dict
+from .mps import bond_dims, mps_to_json_dict
 from .verify import oracle_check
 
 CSV_HEADER = "step,sweep,site,direction,overlap,angle,distance,stalled"
@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         need = f"the dense target of {d}**{n} float64 amplitudes needs {d**n * 8} bytes"
         if args.oracle_check:
             # oracle.subspace_basis_dense holds one (l*d*r, d**n) float64 array
-            dims = [1] + [bond_dim(n, d, args.bond_dim, i) for i in range(n - 1)] + [1]
+            dims = bond_dims(n, d, args.bond_dim)
             basis = max(dims[i] * d * dims[i + 1] for i in range(n)) * d**n * 8
             need += f", and the oracle's largest subspace basis needs {basis} bytes"
         print(f"error: out of memory: {need}", file=sys.stderr)

@@ -10,7 +10,7 @@ Operations return new MPS values; treat instances as immutable.
 
 Moving the center splits the old center core into an isometry and a gauge
 factor (``split_core``). Where the core's matrix is square, the bond is
-saturated at its ``bond_dim`` cap and the identity already spans the whole
+saturated at its ``bond_dims`` cap and the identity already spans the whole
 space, so the split is the identity and the core itself, exact and with no
 QR; on the chain's saturated ends that skips the QR of every shift. Any
 other core takes one sign-fixed QR (``qr_orthonormalize``), which serves
@@ -68,9 +68,9 @@ def check_dims(state: MPS, target: DenseState) -> None:
         )
 
 
-def bond_dim(n: int, d: int, chi: int, i: int) -> int:
-    """Exact-representability cap for the bond between sites i and i+1."""
-    return min(chi, d ** (i + 1), d ** (n - 1 - i))
+def bond_dims(n: int, d: int, chi: int) -> list[int]:
+    """The n + 1 bond dimensions: 1 at the ends, chi capped at exact representability."""
+    return [1] + [min(chi, d ** (i + 1), d ** (n - 1 - i)) for i in range(n - 1)] + [1]
 
 
 def _validate_chain(sites) -> None:
@@ -140,7 +140,7 @@ def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
         raise InputError(f"invalid sizes n={n}, d={d}, chi={chi}")
     check_dense_guard(n, d)
     rng = np.random.default_rng(seed)
-    dims = [1] + [bond_dim(n, d, chi, i) for i in range(n - 1)] + [1]
+    dims = bond_dims(n, d, chi)
     draws = tuple(rng.standard_normal((dims[j], d, dims[j + 1])) for j in range(n))
     # right-canonicalize down to site 0, then normalize the center
     sites = gauge_to(MPS(sites=draws, center=n - 1), 0).sites
@@ -180,7 +180,7 @@ def split_core(core: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray
     core. ``absorb_factor`` multiplies t in.
 
     A square matrix (l*d == r for ``"right"``, l == d*r for ``"left"``)
-    means the bond is saturated at its ``bond_dim`` cap. The identity is
+    means the bond is saturated at its ``bond_dims`` cap. The identity is
     then an orthonormal basis of the whole space, so q is the identity and
     t is the core itself: exact, with isometry defect 0, whatever the
     core's rank. Any other core is split by the sign-fixed QR, which is not

@@ -149,6 +149,7 @@ class TestRunCommand:
         "file:{tmp}/absent.json",
         "file:{tmp}/truncated.json",
         "counts:{tmp}/no_d.json",
+        "counts:{tmp}/zero_d.json",
         "counts:{tmp}/string_count.json",
         "counts:{tmp}/bad_digit.json",
         "file:{tmp}/bool_amplitudes.json",
@@ -163,6 +164,7 @@ class TestRunCommand:
         (tmp_path / "deep.json").write_text("[" * 200_000)
         for name, doc in [
             ("no_d", {"kind": "counts", "counts": {"000": 1}}),
+            ("zero_d", {"kind": "counts", "d": 0, "counts": {"000": 1}}),
             ("string_count", {"kind": "counts", "d": 2, "counts": {"000": "3"}}),
             ("bad_digit", {"kind": "counts", "d": 2, "counts": {"0a0": 1}}),
             ("bool_amplitudes", {"kind": "amplitudes", "n": 3, "d": 2,

@@ -176,9 +176,14 @@ class TestNamedState:
         with pytest.raises(InputError):
             named_state("random", 3, 2)
 
-    def test_ghz_needs_d2(self):
-        with pytest.raises(InputError):
-            named_state("ghz", 2, 3)
+    @pytest.mark.parametrize("name, n, d, message", [
+        ("ghz", 2, 3, "ghz target requires d=2"),
+        ("w", 2, 3, "w target requires d=2"),
+        ("uniform", 0, 2, "invalid sizes n=0, d=2"),
+    ])
+    def test_invalid_sizes(self, name, n, d, message):
+        with pytest.raises(InputError, match=message):
+            named_state(name, n, d)
 
     def test_basis_out_of_range(self):
         with pytest.raises(InputError):
