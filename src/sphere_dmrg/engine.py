@@ -15,8 +15,26 @@ docstring). A sweep carries its environments along instead of rebuilding
 target-sized blocks at every update. It ends with the center at site 0 and
 every right environment of its final state built, which the next sweep
 reuses in place of its opening right fold. So the first sweep of a run
-reads the target three times (the right fold at its start, then one
-crossing in each direction) and every later sweep reads it twice.
+reads the target at most three times (the right fold at its start, then at
+most one crossing in each direction) and every later sweep at most twice;
+a chain saturated at the middle bond (b <= n // 2 below) never crosses it
+after the opening fold.
+
+A sweep stops its R half at site b - 1, where b >= 1 is the first bond
+whose dimension is at its right cap d**(n-b) (see ``mps.bond_dims``; bond
+n counts as 1, so b <= n). Cores b..n-1 are then square right isometries,
+a square orthogonal block, so the subspace of the update at R-half site
+b-1 is S* = (the isometries left of b-1) times every state of sites
+b-1..n-1. That update moves to the closest unit vector of S*. Every update
+the schedule makes after it up to L-half site b-1 has a subspace S with
+that vector in S and S inside S*, so it would return the same state with
+the same projection norm, and stall exactly when the update at b-1
+stalled. The sweep therefore repeats that record for R-half sites b..n-1
+and L-half sites n-2..b-1, each with its own step, site and direction,
+and makes the L half's first shift out of b-1. Cores b..n-1 of the
+returned state are the input's own arrays and their right environments
+are untouched. With chi < d no bond is saturated from the right before
+the chain end, b = n and nothing repeats.
 
 An update whose projection norm is at or below ``STALL_EPS`` stalls: it
 keeps the state and records the overlap the state already has, which lies
@@ -34,10 +52,12 @@ Every core a shift makes is checked for isometry right after the shift
 (``mps.check_isometry``). ``sweep`` checks the whole gauge
 (``mps.check_gauge``) only of a state that a sweep did not return itself.
 Handed back the carry of the state it returned, it skips that check: each
-non-center core of that state was made, and checked, by a shift of that
-sweep, and nothing wrote to it afterwards. Handing back a carry asserts
-that its state's cores are unchanged, which its right environments assume
-anyway.
+non-center core of that state up to site b - 1 was made, and checked, by
+a shift of that sweep, and nothing wrote to it afterwards. Cores b..n-1
+are the input's own: the fresh sweep that began the chain of carries
+checked them with the whole gauge, and no sweep since wrote to them.
+Handing back a carry asserts that its state's cores are unchanged, which
+its right environments assume anyway.
 """
 
 from __future__ import annotations
@@ -207,12 +227,17 @@ def sweep(
     together with the right environments of the returned state. Record k
     of the sweep is step ``sweep_index * (2n-1) + k`` of the run. The
     environments are carried from step to step (see the module docstring).
+    Updates run at R-half sites 0..b-1 and L-half sites b-2..0, with b the
+    first bond at its right cap; the 2(n-b) records between repeat the
+    overlap and stall of R-half site b-1, which is what those updates
+    would measure (see the module docstring).
     ``carry`` is used only if its state and target are the very objects
     passed here, as ``train`` passes them; the sweep then reads the target
-    twice and skips the whole-gauge check, because that sweep checked each
-    core of the state it returned when a shift made it. Otherwise it checks
-    the whole gauge, folds the right environments from the chain end and
-    reads the target three times. After that only the isometry each gauge
+    at most twice and skips the whole-gauge check, because that sweep
+    checked each core of the state it returned when a shift made it, or
+    took it unchanged from its own input. Otherwise it checks the whole
+    gauge, folds the right environments from the chain end and reads the
+    target at most three times. After that only the isometry each gauge
     shift produces can change, and it is checked right after its shift. A
     shift keeps its gauge factor and applies it to the new center only when
     the update there stalls (see the module docstring).
@@ -232,10 +257,20 @@ def sweep(
         right = [None] * (n - 1) + [np.ones((1, 1))]
         for i in range(n - 1, 0, -1):
             right[i - 1] = right_env(right[i], cores[i], i, m, t)
+    # b: the first bond at its right cap d**(n-b), bond n counting as 1
+    b = next((j for j in range(1, n) if cores[j].shape[0] == state.d ** (n - j)), n)
     schedule = sweep_schedule(n)
+    first = sweep_index * len(schedule)
     records: list[MetricRecord] = []
     factor = None  # the gauge factor the center core is owed by the last shift
-    for k, (site, direction) in enumerate(schedule, start=sweep_index * len(schedule)):
+    for k, (site, direction) in enumerate(schedule, start=first):
+        if b <= k - first < 2 * n - b:
+            # R-half sites b..n-1, L-half sites n-2..b-1 repeat R-half site b-1
+            last = records[-1]
+            records.append(
+                MetricRecord(k, sweep_index, site, direction, last.overlap, last.stalled)
+            )
+            continue
         if direction == "R" and site > 0:
             core, factor = split_core(cores[site - 1], "right")
             cores[site - 1] = core

@@ -32,6 +32,20 @@ def fixed_site1_mps():
     return MPS(sites=(a0, a1), center=0)
 
 
+def saturated_bond(state):
+    """The smallest b >= 1 from which every core is square as an (l, d*r) matrix.
+
+    Cores b..n-1 then form a square orthogonal block, so bond b sits at its
+    right cap d**(n-b); b = n when the last core is not square. A sweep
+    updates R-half sites 0..b-1 and L-half sites b-2..0 and repeats the
+    record of R-half site b-1 in between, at schedule positions b..2n-b-1.
+    """
+    shapes = [core.shape for core in state.sites]
+    return next(
+        b for b in range(1, state.n + 1) if all(l == d * r for l, d, r in shapes[b:])
+    )
+
+
 class TestComputeProjectionTensor:
     def test_single_site_whole_space(self):
         state = random_mps(1, 2, 3, seed=0)
@@ -280,25 +294,37 @@ class TestSweepFold:
 class TestSweepGaugeFactor:
     """A shift keeps its gauge factor and applies it only when the next update stalls."""
 
-    @pytest.mark.parametrize("n, d, chi", [(4, 2, 2), (6, 2, 4), (7, 3, 5), (10, 2, 16)])
+    @pytest.mark.parametrize("n, d, chi", [
+        (4, 2, 2), (6, 2, 4), (7, 3, 5), (10, 2, 16), (9, 2, 3), (12, 2, 16), (5, 3, 9),
+    ])
     def test_stalls_match_update_replay_bitwise(self, monkeypatch, n, d, chi):
         target = named_state("random", n, d, seed=100 + n)
         schedule = sweep_schedule(n)
         mid_sweep_stalls = 0
-        for eps in (0.1, 0.3, 0.6):
+        for eps in (1e-14, 0.1, 0.3, 0.6):
             # a share of the updates stall, most of them after a shift whose
             # factor is not the identity
             monkeypatch.setattr(engine, "STALL_EPS", eps)
             state = replay = random_mps(n, d, chi, seed=n + chi)
+            b = saturated_bond(state)
             carry = None
             for k in range(2):
                 state, records, carry = sweep(state, target, k, carry)
-                for rec, (site, _) in zip(records, schedule):
+                assert len(records) == len(schedule)
+                for j, (rec, (site, _)) in enumerate(zip(records, schedule)):
+                    if b <= j < 2 * n - b:
+                        # the replay stays at R-half site b-1 and repeats its record
+                        prev = records[j - 1]
+                        assert (rec.overlap, rec.stalled) == (prev.overlap, prev.stalled), (
+                            eps, rec,
+                        )
+                        continue
                     replay, overlap, stalled = optimal_update(gauge_to(replay, site), target)
                     assert (rec.overlap, rec.stalled) == (overlap, stalled), (
                         eps, rec,
                     )
-                    mid_sweep_stalls += rec.stalled and rec.step % len(schedule) > 0
+                    mid_sweep_stalls += rec.stalled and j > 0
+                assert replay.center == 0
                 assert [c.tobytes() for c in state.sites] == [
                     c.tobytes() for c in replay.sites
                 ], (eps, k)
@@ -322,13 +348,15 @@ class TestSweepGaugeFactor:
     def non_square_shifts(state):
         """Shifts of one sweep out of a core whose matrix is not square.
 
-        The R half shifts out of sites 0..n-2, each core read as an (l*d, r)
-        matrix; the L half out of sites n-1..1, read as (l, d*r). Shifts keep
-        the core shapes, so the state's shapes decide every shift.
+        With b = ``saturated_bond(state)``, the R half shifts out of sites
+        0..b-2, each core read as an (l*d, r) matrix; the L half out of sites
+        b-1..1, read as (l, d*r). Shifts keep the core shapes, so the state's
+        shapes decide every shift.
         """
+        b = saturated_bond(state)
         shapes = [core.shape for core in state.sites]
-        return sum(l * d != r for l, d, r in shapes[:-1]) + sum(
-            l != d * r for l, d, r in shapes[1:]
+        return sum(l * d != r for l, d, r in shapes[:b - 1]) + sum(
+            l != d * r for l, d, r in shapes[1:b]
         )
 
     @pytest.mark.parametrize(
@@ -356,15 +384,22 @@ class TestSweepGaugeFactor:
 
     def test_failed_left_shift_names_its_site(self, monkeypatch):
         n = 4
-        state = random_mps(n, 2, 2, seed=3)
         target = named_state("random", n, 2, seed=4)
-        # the R half-sweep makes n - 2 good QRs; the first L shift leaves the
-        # square (2, 2, 1) core at site n - 1 without one, the next QR leaves
-        # site n - 2
-        self.wrap_qr(monkeypatch, doubled_from=n - 1)
-        message = rf"^isometry defect \S+ at site {n - 2} exceeds 1e-08$"
-        with pytest.raises(GaugeError, match=message):
-            sweep(state, target, 0)
+        # chi=2 ends the R half after one QR (site 1), chi=4 after none
+        for chi, r_half_qrs in ((2, 1), (4, 0)):
+            state = random_mps(n, 2, chi, seed=3)
+            b = saturated_bond(state)
+            shapes = [core.shape for core in state.sites]
+            assert sum(l * d != r for l, d, r in shapes[:b - 1]) == r_half_qrs
+            # the L half's first shift leaves the R half's last center, site
+            # b-1, whose core is not square, so it makes the next QR
+            l, d, r = shapes[b - 1]
+            assert l != d * r
+            self.wrap_qr(monkeypatch, doubled_from=r_half_qrs + 1)
+            message = rf"^isometry defect \S+ at site {b - 1} exceeds 1e-08$"
+            with pytest.raises(GaugeError, match=message):
+                sweep(state, target, 0)
+            monkeypatch.undo()
 
 
 def assert_same_sweep(a, b):
@@ -400,8 +435,9 @@ class TestSweepCarry:
             sweep(state, other_target, 1, carry), sweep(state, other_target, 1)
         )
 
-    def test_train_reads_the_target_twice_per_later_sweep(self, monkeypatch):
-        """Crossing the middle bond is the one step that reads the whole target."""
+    @staticmethod
+    def count_crossings(monkeypatch):
+        """Middle-bond crossings per ``engine.sweep`` call, one list entry per sweep."""
         crossings = []
         left_env, right_env, sweep_fn = engine.left_env, engine.right_env, engine.sweep
 
@@ -420,11 +456,79 @@ class TestSweepCarry:
         monkeypatch.setattr(engine, "left_env", counted_left)
         monkeypatch.setattr(engine, "right_env", counted_right)
         monkeypatch.setattr(engine, "sweep", counted_sweep)
+        return crossings
+
+    def test_train_reads_the_target_twice_per_later_sweep(self, monkeypatch):
+        """Crossing the middle bond is the one step that reads the whole target."""
+        crossings = self.count_crossings(monkeypatch)
         for n in (3, 5, 8):
             crossings.clear()
             train(TrainConfig(n=n, chi=1, seed=1, target="named:random:3",
                               max_sweeps=4, tol=1e-30))
             assert crossings == [3, 2, 2, 2], n
+
+    @pytest.mark.parametrize("n, chi, expected", [
+        (4, 4, [1, 0, 0, 0]),  # b = 2 = n // 2
+        (6, 8, [1, 0, 0, 0]),  # b = 3 = n // 2
+        (5, 4, [3, 2, 2, 2]),  # b = 3 > n // 2
+    ])
+    def test_saturated_middle_bond_is_crossed_only_by_the_opening_fold(
+        self, monkeypatch, n, chi, expected
+    ):
+        """With b <= n // 2 neither half-sweep shifts across the middle bond."""
+        target = named_state("random", n, 2, seed=3)
+        state, carry = random_mps(n, 2, chi, seed=1), None
+        crossings = self.count_crossings(monkeypatch)
+        for k in range(4):
+            state, _, carry = engine.sweep(state, target, k, carry)
+        assert crossings == expected
+
+
+class TestSaturatedTail:
+    """Past the first bond b at its right cap, a sweep repeats its update at R-half site b-1."""
+
+    @pytest.mark.parametrize("n, d, chi", [
+        (2, 2, 2), (4, 2, 4), (6, 2, 8), (7, 3, 9), (12, 2, 16), (5, 3, 9),
+    ])
+    @pytest.mark.parametrize("eps", [STALL_EPS, 1.1])
+    def test_repeated_rows_copy_r_half_site_b_minus_1(self, monkeypatch, n, d, chi, eps):
+        # no projection norm exceeds 1, so eps = 1.1 stalls every update
+        monkeypatch.setattr(engine, "STALL_EPS", eps)
+        state = random_mps(n, d, chi, seed=n)
+        target = named_state("random", n, d, seed=n + 1)
+        b = saturated_bond(state)
+        assert b < n
+        _, records, _ = sweep(state, target, 2)
+        rows = len(records)
+        assert [r.step for r in records] == list(range(2 * rows, 3 * rows))
+        assert [(r.site, r.direction) for r in records] == sweep_schedule(n)
+        source = records[b - 1]
+        assert (source.site, source.direction, source.stalled) == (b - 1, "R", eps > 1)
+        repeated = records[b:2 * n - b]
+        assert len(repeated) == 2 * (n - b)
+        for rec in repeated:
+            assert (rec.sweep, rec.overlap, rec.stalled) == (2, source.overlap, source.stalled)
+
+    @pytest.mark.parametrize("n, d, chi", [
+        (1, 2, 1), (3, 2, 1), (8, 2, 1), (5, 3, 2), (4, 2, 4), (6, 2, 8), (7, 3, 9), (9, 2, 16),
+    ])
+    def test_one_projection_per_update_made(self, monkeypatch, n, d, chi):
+        """Sites 0..b-1 R and b-2..0 L are projected; chi < d gives b = n, so none repeats."""
+        state = random_mps(n, d, chi, seed=n)
+        target = named_state("random", n, d, seed=n + 1)
+        b = saturated_bond(state)
+        if chi < d:
+            assert b == n
+        sites = []
+        projection = engine._projection
+
+        def recorded(left, right, i, m, shape):
+            sites.append(i)
+            return projection(left, right, i, m, shape)
+
+        monkeypatch.setattr(engine, "_projection", recorded)
+        sweep(state, target, 0)
+        assert sites == list(range(b)) + list(range(b - 2, -1, -1))
 
 
 class TestSweepGaugeCheck:
@@ -483,9 +587,14 @@ class TestSweepGaugeCheck:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     @pytest.mark.parametrize("chi", [1, 3, 16])
     def test_returned_cores_were_checked_when_made(self, monkeypatch, n, chi):
-        """Each non-center core of the returned state is the one its L-half shift checked."""
+        """Cores 1..b-1 of the returned state are the ones its L-half shifts checked.
+
+        Cores b..n-1 are the input's own, which the fresh sweep that began
+        the carry chain checked.
+        """
         target = named_state("random", n, 2, seed=n + 1)
         state, _, carry = sweep(random_mps(n, 2, chi, seed=n), target, 0)
+        b = saturated_bond(state)
         sites, right_cores = [], []
         check_isometry, right_defect = engine.check_isometry, engine.right_defect
 
@@ -500,12 +609,14 @@ class TestSweepGaugeCheck:
         monkeypatch.setattr(engine, "check_isometry", recorded_check)
         monkeypatch.setattr(engine, "right_defect", recorded_defect)
         returned, _, _ = sweep(state, target, 1, carry)
-        assert len(sites) == 2 * n - 2
-        l_half = sites[n - 1:]
-        assert sorted(l_half) == list(range(1, n))
-        assert len(right_cores) == n - 1
+        assert len(sites) == 2 * b - 2
+        l_half = sites[b - 1:]
+        assert sorted(l_half) == list(range(1, b))
+        assert len(right_cores) == b - 1
         for site, core in zip(l_half, right_cores):
             assert returned.sites[site] is core, site
+        for site in range(b, n):
+            assert returned.sites[site] is state.sites[site], site
 
 
 class TestTrainConfig:

@@ -7,7 +7,7 @@ import pytest
 from sphere_dmrg import verify
 from sphere_dmrg.cli import main
 from sphere_dmrg.engine import TrainConfig
-from sphere_dmrg.mps import random_mps
+from sphere_dmrg.mps import bond_dims, random_mps
 from sphere_dmrg.oracle import subspace_basis_dense
 
 CONFIG = TrainConfig(n=4, chi=2, seed=3, target="named:random:11")
@@ -141,3 +141,18 @@ def test_cli_mismatch_exits_1_without_output(fault, request, tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert lines and all(line.startswith("oracle mismatch: ") for line in lines)
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("n, d, chi, target", [
+    (6, 2, 8, "named:random:1"),  # b = 3: the R half stops before the middle bond
+    (7, 3, 9, "named:random:2"),  # b = 5
+    (6, 2, 8, "named:ghz"),
+    (6, 2, 4, "named:w"),  # b = 4
+    (6, 2, 4, "named:basis:37"),
+])
+def test_saturated_tail_replays_clean(n, d, chi, target):
+    # the oracle replays every row, including those the sweep repeats
+    # past the first bond b at its right cap d**(n-b)
+    dims = bond_dims(n, d, chi)
+    assert min(j for j in range(1, n + 1) if dims[j] == d ** (n - j)) < n
+    assert verify.oracle_check(TrainConfig(n=n, d=d, chi=chi, seed=0, target=target)) == []
