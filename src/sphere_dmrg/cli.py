@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=TrainConfig.tol,
                    help="overlap-change convergence tolerance per sweep")
     p.add_argument("--target", required=True,
-                   help="named:<name>[:seed] | file:<path> | counts:<path>")
+                   help="named:<name>[:seed] | file:<amplitudes path> | counts:<counts path>")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--force", action="store_true",
                    help="allow writing into a non-empty output directory")

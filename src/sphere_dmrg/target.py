@@ -222,10 +222,10 @@ def _check_sizes(path: str, file_n: int, file_d: int, n: int, d: int) -> None:
         )
 
 
-def load_target_file(path: str, n: int, d: int, kind: str | None = None) -> DenseState:
-    """Load a target from a JSON file of kind "counts" or "amplitudes".
+def load_target_file(path: str, n: int, d: int, kind: str) -> DenseState:
+    """Load a target from a JSON document of ``kind`` "counts" or "amplitudes".
 
-    A given ``kind`` refuses files of the other kind.
+    Anything but a JSON object of that kind is refused.
     """
     try:
         with open(path) as fh:
@@ -233,15 +233,11 @@ def load_target_file(path: str, n: int, d: int, kind: str | None = None) -> Dens
     # ValueError: bad JSON or encoding; RecursionError: nesting too deep
     except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read target file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError(f"target file {path} does not hold a JSON object")
-    file_kind = doc.get("kind")
-    if kind is not None and file_kind != kind:
-        raise InputError(f"{path} is not a {kind} target file")
-    if file_kind not in ("counts", "amplitudes"):
-        raise InputError(f"unknown target file kind {file_kind!r} in {path}")
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        article = "an" if kind == "amplitudes" else "a"
+        raise InputError(f"{path} is not {article} {kind} target file")
     file_d = json_int(doc.get("d"), f"field 'd' in {path}")
-    if file_kind == "counts":
+    if kind == "counts":
         counts = doc.get("counts")
         if not isinstance(counts, dict):
             raise InputError(f"field 'counts' in {path} must be an object")
@@ -265,7 +261,7 @@ def load_target_file(path: str, n: int, d: int, kind: str | None = None) -> Dens
 
 
 def resolve_target(spec: str, n: int, d: int) -> DenseState:
-    """Resolve a target spec string: named:<name>[:seed] | file:<path> | counts:<path>."""
+    """Resolve named:<name>[:seed], file:<amplitudes path> or counts:<counts path>."""
     if spec.startswith("named:"):
         rest = spec[len("named:"):]
         name, colon, tail = rest.rpartition(":")
@@ -275,7 +271,7 @@ def resolve_target(spec: str, n: int, d: int) -> DenseState:
             raise InputError(f"seed {tail!r} in {spec!r} is not an integer")
         return named_state(rest if seed is None else name, n, d, seed=seed)
     if spec.startswith("file:"):
-        return load_target_file(spec[len("file:"):], n, d)
+        return load_target_file(spec[len("file:"):], n, d, "amplitudes")
     if spec.startswith("counts:"):
-        return load_target_file(spec[len("counts:"):], n, d, kind="counts")
+        return load_target_file(spec[len("counts:"):], n, d, "counts")
     raise InputError(f"unrecognized target spec {spec!r}")

@@ -21,7 +21,6 @@ from sphere_dmrg.mps import (
     gauge_to,
     overlap_dense,
     random_mps,
-    shift_center,
 )
 from sphere_dmrg.oracle import project_onto_subspace_dense, subspace_basis_dense
 from sphere_dmrg.target import DenseState, named_state, resolve_target
@@ -227,11 +226,11 @@ def test_c6_gauge_noop_suite():
         state = random_mps(6, 2, 4, seed=seed)
         reference = dense_amplitudes(state)
         for _ in range(25):
-            direction = "right" if state.center < state.n - 1 else "left"
+            step = 1 if state.center < state.n - 1 else -1
             # bounce between the chain ends
             if state.center == 0:
-                direction = "right"
-            state = shift_center(state, direction)
+                step = 1
+            state = gauge_to(state, state.center + step)
             dense = dense_amplitudes(state)
             assert np.linalg.norm(dense - reference) < 1e-12
             assert gauge_defect(state) < 1e-10
@@ -243,8 +242,8 @@ def test_c6_gauge_noop_suite():
         state = gauge_to(random_mps(6, 2, 4, seed=seed + 100), 5)
         reference = dense_amplitudes(state)
         for _ in range(25):
-            direction = "left" if state.center > 0 else "right"
-            state = shift_center(state, direction)
+            step = -1 if state.center > 0 else 1
+            state = gauge_to(state, state.center + step)
             dense = dense_amplitudes(state)
             assert np.linalg.norm(dense - reference) < 1e-12
             assert gauge_defect(state) < 1e-10

@@ -158,11 +158,13 @@ class TestRunCommand:
         "counts:{tmp}/int_counts_past_float64.json",
         "counts:{tmp}/float_counts_past_float64.json",
         "file:{tmp}/norm_past_float64.json",
+        "file:{tmp}/counts.json",  # file: reads only amplitudes documents
     ])
     def test_malformed_target_exit_2(self, tmp_path, capsys, spec):
         (tmp_path / "truncated.json").write_text('{"kind": "counts", "d": 2, "cou')
         (tmp_path / "deep.json").write_text("[" * 200_000)
         for name, doc in [
+            ("counts", {"kind": "counts", "d": 2, "counts": {"000": 1, "111": 1}}),
             ("no_d", {"kind": "counts", "counts": {"000": 1}}),
             ("zero_d", {"kind": "counts", "d": 0, "counts": {"000": 1}}),
             ("string_count", {"kind": "counts", "d": 2, "counts": {"000": "3"}}),
@@ -182,6 +184,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert err.count("\n") == 1
+        assert os.listdir(tmp_path / "out") == []
 
     @pytest.mark.parametrize("extra, fragment", [
         (["--sites", "31"], "size guard"),
@@ -367,7 +370,7 @@ class TestArgvProperty:
             paths = [os.path.join(tmp, name) for name in [*DOCUMENTS, "absent.json", ""]]
             values = dict(FLAG_VALUES)
             values["--target"] = (
-                NAMED_SPECS[0] + ["file:" + paths[0], "file:" + paths[1], "counts:" + paths[1]],
+                NAMED_SPECS[0] + ["file:" + paths[0], "counts:" + paths[1]],
                 NAMED_SPECS[1] + [kind + path for kind in ("file:", "counts:") for path in paths],
             )
             values["--out"] = (

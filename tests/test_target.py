@@ -203,7 +203,7 @@ class TestTargetFiles:
     def test_counts_file(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"kind": "counts", "d": 2, "counts": {"01": 1, "10": 1}}))
-        state = load_target_file(str(path), n=2, d=2)
+        state = load_target_file(str(path), n=2, d=2, kind="counts")
         np.testing.assert_allclose(
             state.amplitudes, [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0], atol=1e-15
         )
@@ -212,26 +212,26 @@ class TestTargetFiles:
         amps = [0.6, 0.8, 0.0, 0.0]
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"kind": "amplitudes", "n": 2, "d": 2, "amplitudes": amps}))
-        state = load_target_file(str(path), n=2, d=2)
+        state = load_target_file(str(path), n=2, d=2, kind="amplitudes")
         np.testing.assert_allclose(state.amplitudes, amps, atol=1e-15)
 
     def test_amplitudes_far_from_unit_rejected(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"kind": "amplitudes", "n": 1, "d": 2, "amplitudes": [1.0, 1.0]}))
         with pytest.raises(InputError):
-            load_target_file(str(path), n=1, d=2)
+            load_target_file(str(path), n=1, d=2, kind="amplitudes")
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"kind": "samples"}))
-        with pytest.raises(InputError):
-            load_target_file(str(path), n=1, d=2)
+        with pytest.raises(InputError, match="is not an amplitudes target file"):
+            load_target_file(str(path), n=1, d=2, kind="amplitudes")
 
     def test_dimension_mismatch(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"kind": "amplitudes", "n": 1, "d": 2, "amplitudes": [1.0, 0.0]}))
         with pytest.raises(InputError):
-            load_target_file(str(path), n=2, d=2)
+            load_target_file(str(path), n=2, d=2, kind="amplitudes")
 
     def test_sizes_checked_before_use(self, tmp_path):
         # the file's own n would make d**n a 100-million-bit integer
@@ -240,7 +240,7 @@ class TestTargetFiles:
             {"kind": "amplitudes", "n": 100_000_000, "d": 2, "amplitudes": [1, 0]}
         ))
         with pytest.raises(InputError, match=r"run requires \(3, 2\)"):
-            load_target_file(str(path), n=3, d=2)
+            load_target_file(str(path), n=3, d=2, kind="amplitudes")
 
     def test_counts_key_length_checked_before_the_vector(self, tmp_path):
         # 24-digit keys would make a 128 MiB vector for the file's own n
@@ -249,7 +249,7 @@ class TestTargetFiles:
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match=r"run requires \(3, 2\)"):
-                load_target_file(str(path), n=3, d=2)
+                load_target_file(str(path), n=3, d=2, kind="counts")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -264,7 +264,7 @@ class TestTargetFiles:
         tracemalloc.start()
         try:
             with pytest.raises(InputError, match="size guard"):
-                load_target_file(str(path), n=10**8, d=2)
+                load_target_file(str(path), n=10**8, d=2, kind="amplitudes")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -277,7 +277,8 @@ class TestTargetFiles:
         path.write_text(json.dumps({"kind": "amplitudes", "n": 3, "d": 2, "amplitudes": values}))
         amps = np.asarray(values)
         expected = amps / float(np.linalg.norm(amps))
-        assert load_target_file(str(path), n=3, d=2).amplitudes.tobytes() == expected.tobytes()
+        state = load_target_file(str(path), n=3, d=2, kind="amplitudes")
+        assert state.amplitudes.tobytes() == expected.tobytes()
 
 
 JSON_KEYS = st.text("0123456789", max_size=5) | st.text(max_size=3)
@@ -438,18 +439,30 @@ class TestResolveTarget:
         with pytest.raises(InputError, match="is not a counts target file"):
             resolve_target(f"counts:{path}", 1, 2)
 
+    def test_file_spec_refuses_counts_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"kind": "counts", "d": 2, "counts": {"0": 1}}))
+        assert resolve_target(f"counts:{path}", 1, 2).amplitudes[0] == 1.0
+        with pytest.raises(InputError, match="is not an amplitudes target file"):
+            resolve_target(f"file:{path}", 1, 2)
+
     # every example rewrites the same file
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=target_documents())
     def test_file_spec_loads_or_refuses(self, tmp_path, case):
-        """Any JSON document given as file: or counts: loads as an (n, d) state or is refused."""
+        """Any JSON document given as file: or counts: loads as an (n, d) state or is refused.
+
+        Only an amplitudes document loads through file:, and only a counts
+        document through counts:.
+        """
         n, d, doc = case
         path = tmp_path / "t.json"
         path.write_text(json.dumps(doc, allow_nan=True))
-        for prefix in ("file:", "counts:"):
+        for prefix, kind in (("file:", "amplitudes"), ("counts:", "counts")):
             try:
                 state = resolve_target(f"{prefix}{path}", n, d)
             except InputError:
                 continue
             assert isinstance(state, DenseState)
             assert (state.n, state.d) == (n, d)
+            assert doc["kind"] == kind
