@@ -17,6 +17,11 @@ from .verify import oracle_check
 
 CSV_HEADER = "step,sweep,site,direction,overlap,angle,distance,stalled"
 OUTPUT_FILES = ("trajectory.csv", "final_mps.json", "summary.json")
+#: the flag that sets each TrainConfig field; each flag's dest is its field
+FLAGS = {
+    "n": "--sites", "d": "--phys-dim", "chi": "--bond-dim", "seed": "--seed",
+    "max_sweeps": "--max-sweeps", "tol": "--tol", "target": "--target",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,15 +32,19 @@ def build_parser() -> argparse.ArgumentParser:
             "single-site sweeping; writes the trajectory as CSV."
         ),
     )
-    p.add_argument("--sites", type=int, required=True, help="number of sites n")
-    p.add_argument("--phys-dim", type=int, default=TrainConfig.d, help="local dimension d")
-    p.add_argument("--bond-dim", type=int, required=True, help="bond dimension cap")
+    p.add_argument("--sites", dest="n", type=int, required=True, help="number of sites n")
+    p.add_argument("--phys-dim", dest="d", type=int, default=TrainConfig.d,
+                   help="local dimension d")
+    p.add_argument("--bond-dim", dest="chi", type=int, required=True,
+                   help="bond dimension cap")
     p.add_argument("--seed", type=int, required=True, help="initialization seed")
     p.add_argument("--max-sweeps", type=int, default=TrainConfig.max_sweeps)
     p.add_argument("--tol", type=float, default=TrainConfig.tol,
                    help="overlap-change convergence tolerance per sweep")
     p.add_argument("--target", required=True,
-                   help="named:<name>[:seed] | file:<amplitudes path> | counts:<counts path>")
+                   help="named:<name>[:<k>] | file:<amplitudes path> | counts:<counts path>;"
+                        " basis:<k> takes an index and random:<seed> a seed, both ASCII"
+                        " integers; uniform, ghz and w take none")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--force", action="store_true",
                    help="allow writing into a non-empty output directory")
@@ -78,22 +87,10 @@ def _csv_row(r: MetricRecord) -> str:
 
 def config_from_args(args) -> TrainConfig:
     try:
-        return TrainConfig(
-            n=args.sites,
-            d=args.phys_dim,
-            chi=args.bond_dim,
-            seed=args.seed,
-            max_sweeps=args.max_sweeps,
-            tol=args.tol,
-            target=args.target,
-        )
+        return TrainConfig(**{field: getattr(args, field) for field in FLAGS})
     except InputError as exc:
-        flags = {
-            "n": "--sites", "d": "--phys-dim", "chi": "--bond-dim", "seed": "--seed",
-            "max_sweeps": "--max-sweeps", "tol": "--tol",
-        }
         msg = str(exc)
-        for field, flag in flags.items():
+        for field, flag in FLAGS.items():
             msg = msg.replace(f"got {field}=", f"got {flag}=")
         raise InputError(msg) from exc
 
@@ -107,11 +104,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if isinstance(exc, InputError) else 1
     except MemoryError:
         # valid input on a host too small for it: name what the run needs
-        d, n = args.phys_dim, args.sites
+        d, n = args.d, args.n
         need = f"the dense target of {d}**{n} float64 amplitudes needs {d**n * 8} bytes"
         if args.oracle_check:
             # oracle.subspace_basis_dense holds one (l*d*r, d**n) float64 array
-            dims = bond_dims(n, d, args.bond_dim)
+            dims = bond_dims(n, d, args.chi)
             basis = max(dims[i] * d * dims[i + 1] for i in range(n)) * d**n * 8
             need += f", and the oracle's largest subspace basis needs {basis} bytes"
         print(f"error: out of memory: {need}", file=sys.stderr)

@@ -47,9 +47,10 @@ def project_onto_subspace_dense(
     Raises ``GaugeError`` unless the rows are orthonormal within
     ``ORTHO_TOL``: a gauge bug upstream is refused, not repaired.
     """
-    if vectors.shape[1] != target.dim:
+    if vectors.shape[1] != target.amplitudes.size:
         raise InputError(
-            f"basis vectors have length {vectors.shape[1]}, target has {target.dim}"
+            f"basis vectors have length {vectors.shape[1]}, "
+            f"target has {target.amplitudes.size}"
         )
     defect = float(np.max(np.abs(vectors @ vectors.T - np.eye(len(vectors)))))
     # written so that NaN fails too

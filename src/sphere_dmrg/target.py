@@ -58,10 +58,6 @@ class DenseState:
         if abs(norm - 1.0) > 1e-12:
             raise InputError(f"amplitudes have norm {norm!r}, expected 1")
 
-    @property
-    def dim(self) -> int:
-        return self.d**self.n
-
 
 def _digit_indices(keys: Collection[str], n: int, d: int) -> np.ndarray:
     """Big-endian int64 indices of length-n ASCII digit strings, each digit < d.
@@ -137,49 +133,52 @@ def _spec_integer(text: str) -> int | None:
         raise InputError(f"integer of {len(text)} digits is too long") from None
 
 
-def named_state(name: str, n: int, d: int, seed: int | None = None) -> DenseState:
-    """Build one of the named analytic targets.
+def named_state(name: str, n: int, d: int) -> DenseState:
+    """Build the named analytic target ``<name>[:<k>]``.
 
-    Supported names: uniform, ghz, w, basis:<k>, random. ghz and w require
-    d=2; random requires a seed, and no other name takes one.
+    ``basis:<k>`` takes the basis index k and ``random:<seed>`` a seed, both
+    ASCII integers; ``uniform``, ``ghz`` and ``w`` take none, and ghz and w
+    require d=2.
     """
+    head, colon, tail = name.partition(":")
+    if head not in ("uniform", "ghz", "w", "basis", "random"):
+        raise InputError(f"unknown target name {head!r}")
+    if colon and head not in ("basis", "random"):
+        raise InputError(f"target {head!r} takes no seed")
+    if head == "random" and not colon:
+        raise InputError("random target requires a seed")
+    k = _spec_integer(tail)
+    if k is None and head in ("basis", "random"):
+        what = "seed" if head == "random" else "basis index"
+        raise InputError(f"{what} {tail!r} in {name!r} is not an integer")
     if n < 1 or d < 2:
         raise InputError(f"invalid sizes n={n}, d={d}")
-    if seed is not None and name != "random":
-        raise InputError(f"target {name!r} takes no seed")
     check_dense_guard(n, d)
     dim = d**n
-    if name == "uniform":
+    if head == "uniform":
         amps = np.full(dim, d ** (-n / 2))
-    elif name == "ghz":
+    elif head == "ghz":
         if d != 2:
             raise InputError("ghz target requires d=2")
         amps = np.zeros(dim)
         amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    elif name == "w":
+    elif head == "w":
         if d != 2:
             raise InputError("w target requires d=2")
         amps = np.zeros(dim)
         for i in range(n):
             amps[2 ** (n - 1 - i)] = 1.0 / math.sqrt(n)
-    elif name.startswith("basis:"):
-        k = _spec_integer(name[len("basis:"):])
-        if k is None:
-            raise InputError(f"basis index in {name!r} is not an integer")
+    elif head == "basis":
         if not (0 <= k < dim):
             raise InputError(f"basis index {k} out of range [0, {dim})")
         amps = np.zeros(dim)
         amps[k] = 1.0
-    elif name == "random":
-        if seed is None:
-            raise InputError("random target requires a seed")
-        if seed < 0:
-            raise InputError(f"random target seed must be >= 0, got {seed}")
-        rng = np.random.default_rng(seed)
+    else:  # random
+        if k < 0:
+            raise InputError(f"random target seed must be >= 0, got {k}")
+        rng = np.random.default_rng(k)
         amps = rng.standard_normal(dim)
         amps /= np.linalg.norm(amps)
-    else:
-        raise InputError(f"unknown target name {name!r}")
     return DenseState(n=n, d=d, amplitudes=amps)
 
 
@@ -261,15 +260,13 @@ def load_target_file(path: str, n: int, d: int, kind: str) -> DenseState:
 
 
 def resolve_target(spec: str, n: int, d: int) -> DenseState:
-    """Resolve named:<name>[:seed], file:<amplitudes path> or counts:<counts path>."""
+    """Resolve named:<name>[:<k>], file:<amplitudes path> or counts:<counts path>.
+
+    In a ``named:`` spec, basis:<k> takes an index and random:<seed> a seed,
+    both ASCII integers; uniform, ghz and w take none.
+    """
     if spec.startswith("named:"):
-        rest = spec[len("named:"):]
-        name, colon, tail = rest.rpartition(":")
-        # the integer after "basis:" is the index, not a seed
-        seed = _spec_integer(tail) if colon and name != "basis" else None
-        if seed is None and name == "random":
-            raise InputError(f"seed {tail!r} in {spec!r} is not an integer")
-        return named_state(rest if seed is None else name, n, d, seed=seed)
+        return named_state(spec[len("named:"):], n, d)
     if spec.startswith("file:"):
         return load_target_file(spec[len("file:"):], n, d, "amplitudes")
     if spec.startswith("counts:"):

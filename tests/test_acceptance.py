@@ -104,7 +104,7 @@ ASYMMETRY_SEED = 0
 
 def check_seed(seed, n=4, d=2, chi=2, site=1):
     state = gauge_to(random_mps(n, d, chi, seed), site)
-    target = named_state("random", n, d, seed=seed + 1000)
+    target = named_state(f"random:{seed + 1000}", n, d)
     psi_prev = dense_amplitudes(state)
     state, _, _ = optimal_update(state, target)
     psi_k = dense_amplitudes(state)

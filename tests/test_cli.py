@@ -194,6 +194,10 @@ class TestRunCommand:
         (["--seed", "-1"], "--seed=-1"),
         (["--target", "named:random:-3"], "seed must be >= 0, got -3"),
         (["--target", "named:uniform:3"], "target 'uniform' takes no seed"),
+        (["--sites", "0"], "got --sites=0"),
+        (["--phys-dim", "1"], "got --phys-dim=1"),
+        (["--bond-dim", "0"], "got --bond-dim=0"),
+        (["--max-sweeps", "0"], "got --max-sweeps=0"),
     ])
     def test_invalid_input_exit_2(self, tmp_path, capsys, extra, fragment):
         (tmp_path / "counts.json").write_text(

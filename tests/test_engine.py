@@ -49,7 +49,7 @@ def saturated_bond(state):
 class TestComputeProjectionTensor:
     def test_single_site_whole_space(self):
         state = random_mps(1, 2, 3, seed=0)
-        target = named_state("random", 1, 2, seed=1)
+        target = named_state("random:1", 1, 2)
         coeffs, norm = compute_projection_tensor(state, target)
         np.testing.assert_allclose(
             coeffs, target.amplitudes.reshape(1, 2, 1), atol=1e-15
@@ -66,7 +66,7 @@ class TestComputeProjectionTensor:
     def test_matches_dense_basis_oracle(self):
         for seed in range(5):
             state = gauge_to(random_mps(4, 2, 2, seed=seed), seed % 4)
-            target = named_state("random", 4, 2, seed=seed + 100)
+            target = named_state(f"random:{seed + 100}", 4, 2)
             coeffs, norm = compute_projection_tensor(state, target)
             basis = subspace_basis_dense(state)
             expected = basis @ target.amplitudes
@@ -91,7 +91,7 @@ class TestComputeProjectionTensor:
 class TestOptimalUpdate:
     def test_single_site_reaches_target(self):
         state = random_mps(1, 2, 3, seed=2)
-        target = named_state("random", 1, 2, seed=3)
+        target = named_state("random:3", 1, 2)
         new_state, overlap, stalled = optimal_update(state, target)
         np.testing.assert_allclose(
             dense_amplitudes(new_state), target.amplitudes, atol=1e-14
@@ -122,7 +122,7 @@ class TestOptimalUpdate:
     def test_matches_normalized_dense_projection(self):
         for seed in range(5):
             state = gauge_to(random_mps(3, 2, 2, seed=seed), 1)
-            target = named_state("random", 3, 2, seed=seed + 200)
+            target = named_state(f"random:{seed + 200}", 3, 2)
             basis = subspace_basis_dense(state)
             proj, norm = project_onto_subspace_dense(target, basis)
             new_state, overlap, _ = optimal_update(state, target)
@@ -133,7 +133,7 @@ class TestOptimalUpdate:
 
     def test_no_sampled_candidate_beats_update(self):
         state = gauge_to(random_mps(4, 2, 2, seed=11), 2)
-        target = named_state("random", 4, 2, seed=12)
+        target = named_state("random:12", 4, 2)
         basis = subspace_basis_dense(state)
         _, overlap, _ = optimal_update(state, target)
         rng = np.random.default_rng(99)
@@ -145,7 +145,7 @@ class TestOptimalUpdate:
 
     def test_record_consistency(self):
         state = gauge_to(random_mps(4, 2, 2, seed=21), 1)
-        target = named_state("random", 4, 2, seed=22)
+        target = named_state("random:22", 4, 2)
         _, overlap, stalled = optimal_update(state, target)
         rec = MetricRecord(0, 0, 1, "R", overlap, stalled)
         assert -1.0 - 1e-12 <= rec.overlap <= 1.0 + 1e-12
@@ -171,7 +171,7 @@ class TestOptimalUpdate:
         from sphere_dmrg.mps import gauge_defect
 
         state = gauge_to(random_mps(5, 2, 4, seed=31), 3)
-        target = named_state("random", 5, 2, seed=32)
+        target = named_state("random:32", 5, 2)
         new_state, _, _ = optimal_update(state, target)
         assert gauge_defect(new_state) < 1e-10
         assert abs(np.linalg.norm(dense_amplitudes(new_state)) - 1.0) < 1e-10
@@ -189,7 +189,7 @@ class TestSweep:
 
     def test_schedule_and_record_count(self):
         state = random_mps(4, 2, 2, seed=42)
-        target = named_state("random", 4, 2, seed=43)
+        target = named_state("random:43", 4, 2)
         _, records, _ = sweep(state, target, 3)
         assert len(records) == 7
         assert [r.site for r in records] == [0, 1, 2, 3, 2, 1, 0]
@@ -200,7 +200,7 @@ class TestSweep:
 
     def test_single_site_chain(self):
         state = random_mps(1, 2, 1, seed=1)
-        target = named_state("random", 1, 2, seed=2)
+        target = named_state("random:2", 1, 2)
         _, records, _ = sweep(state, target, 0)
         assert len(records) == 1
 
@@ -212,7 +212,7 @@ class TestSweep:
     def test_monotone_overlap(self):
         for seed in range(5):
             state = random_mps(5, 2, 2, seed=seed)
-            target = named_state("random", 5, 2, seed=seed + 300)
+            target = named_state(f"random:{seed + 300}", 5, 2)
             _, records, _ = sweep(state, target, 0)
             for a, b in zip(records, records[1:]):
                 if not (a.stalled or b.stalled):
@@ -229,7 +229,7 @@ class TestSweepFold:
     def test_matches_update_replay(self):
         for n, d, chi in itertools.product(range(1, 10), (2, 3), (1, 2, 3, 16)):
             start = random_mps(n, d, chi, seed=n + chi)
-            target = named_state("random", n, d, seed=100 + n)
+            target = named_state(f"random:{100 + n}", n, d)
             state, replay = start, start
             schedule = sweep_schedule(n)
             for k in range(2):
@@ -262,7 +262,7 @@ class TestSweepFold:
     def test_working_set_below_half_the_target(self):
         n, chi = 18, 8
         state = random_mps(n, 2, chi, seed=5)
-        target = named_state("random", n, 2, seed=6)
+        target = named_state("random:6", n, 2)
         _, peak = self.sweep_traced(state, target)
         assert peak < target.amplitudes.nbytes / 2
 
@@ -298,7 +298,7 @@ class TestSweepGaugeFactor:
         (4, 2, 2), (6, 2, 4), (7, 3, 5), (10, 2, 16), (9, 2, 3), (12, 2, 16), (5, 3, 9),
     ])
     def test_stalls_match_update_replay_bitwise(self, monkeypatch, n, d, chi):
-        target = named_state("random", n, d, seed=100 + n)
+        target = named_state(f"random:{100 + n}", n, d)
         schedule = sweep_schedule(n)
         mid_sweep_stalls = 0
         for eps in (1e-14, 0.1, 0.3, 0.6):
@@ -365,7 +365,7 @@ class TestSweepGaugeFactor:
     )
     def test_one_qr_per_non_square_shift_none_per_square_one(self, monkeypatch, n, d, chi):
         state = random_mps(n, d, chi, seed=n)
-        target = named_state("random", n, d, seed=n + 1)
+        target = named_state(f"random:{n + 1}", n, d)
         expected = self.non_square_shifts(state)
         if chi < d:
             # every bond is chi < d, so no core's matrix is square
@@ -376,7 +376,7 @@ class TestSweepGaugeFactor:
 
     def test_failed_right_shift_names_its_site(self, monkeypatch):
         state = random_mps(4, 2, 2, seed=3)
-        target = named_state("random", 4, 2, seed=4)
+        target = named_state("random:4", 4, 2)
         # the core at site 0 is (1, 2, 2), square; the first QR leaves site 1
         self.wrap_qr(monkeypatch, doubled_from=1)
         with pytest.raises(GaugeError, match=r"^isometry defect \S+ at site 1 exceeds 1e-08$"):
@@ -384,7 +384,7 @@ class TestSweepGaugeFactor:
 
     def test_failed_left_shift_names_its_site(self, monkeypatch):
         n = 4
-        target = named_state("random", n, 2, seed=4)
+        target = named_state("random:4", n, 2)
         # chi=2 ends the R half after one QR (site 1), chi=4 after none
         for chi, r_half_qrs in ((2, 1), (4, 0)):
             state = random_mps(n, 2, chi, seed=3)
@@ -414,7 +414,7 @@ class TestSweepCarry:
 
     def test_carried_sweep_matches_fresh(self):
         for n, d, chi in itertools.product(range(1, 10), (2, 3), (1, 2, 3, 16)):
-            target = named_state("random", n, d, seed=100 + n)
+            target = named_state(f"random:{100 + n}", n, d)
             state, _, carry = sweep(random_mps(n, d, chi, seed=n + chi), target, 0)
             carried = sweep(state, target, 1, carry)
             fresh = sweep(state, target, 1)
@@ -425,8 +425,8 @@ class TestSweepCarry:
 
     def test_foreign_carry_ignored(self):
         n, d, chi = 6, 2, 2
-        target = named_state("random", n, d, seed=7)
-        other_target = named_state("random", n, d, seed=8)
+        target = named_state("random:7", n, d)
+        other_target = named_state("random:8", n, d)
         state, _, carry = sweep(random_mps(n, d, chi, seed=1), target, 0)
         _, _, other_carry = sweep(random_mps(n, d, chi, seed=2), target, 0)
         # a carry built for another state, or for another target
@@ -476,7 +476,7 @@ class TestSweepCarry:
         self, monkeypatch, n, chi, expected
     ):
         """With b <= n // 2 neither half-sweep shifts across the middle bond."""
-        target = named_state("random", n, 2, seed=3)
+        target = named_state("random:3", n, 2)
         state, carry = random_mps(n, 2, chi, seed=1), None
         crossings = self.count_crossings(monkeypatch)
         for k in range(4):
@@ -495,7 +495,7 @@ class TestSaturatedTail:
         # no projection norm exceeds 1, so eps = 1.1 stalls every update
         monkeypatch.setattr(engine, "STALL_EPS", eps)
         state = random_mps(n, d, chi, seed=n)
-        target = named_state("random", n, d, seed=n + 1)
+        target = named_state(f"random:{n + 1}", n, d)
         b = saturated_bond(state)
         assert b < n
         _, records, _ = sweep(state, target, 2)
@@ -515,7 +515,7 @@ class TestSaturatedTail:
     def test_one_projection_per_update_made(self, monkeypatch, n, d, chi):
         """Sites 0..b-1 R and b-2..0 L are projected; chi < d gives b = n, so none repeats."""
         state = random_mps(n, d, chi, seed=n)
-        target = named_state("random", n, d, seed=n + 1)
+        target = named_state(f"random:{n + 1}", n, d)
         b = saturated_bond(state)
         if chi < d:
             assert b == n
@@ -556,8 +556,8 @@ class TestSweepGaugeCheck:
 
     def test_only_the_own_carry_skips_the_check(self, monkeypatch):
         n, d, chi = 6, 2, 2
-        target = named_state("random", n, d, seed=7)
-        other_target = named_state("random", n, d, seed=8)
+        target = named_state("random:7", n, d)
+        other_target = named_state("random:8", n, d)
         state, _, carry = sweep(random_mps(n, d, chi, seed=1), target, 0)
         _, _, other_carry = sweep(random_mps(n, d, chi, seed=2), target, 0)
         calls = self.count_gauge_checks(monkeypatch)
@@ -576,7 +576,7 @@ class TestSweepGaugeCheck:
     @pytest.mark.parametrize("site", [1, 3, 5])
     def test_changed_core_with_the_old_carry_refused(self, site):
         n = 6
-        target = named_state("random", n, 2, seed=7)
+        target = named_state("random:7", n, 2)
         state, _, carry = sweep(random_mps(n, 2, 2, seed=1), target, 0)
         sites = list(state.sites)
         sites[site] = sites[site] * 2.0
@@ -592,7 +592,7 @@ class TestSweepGaugeCheck:
         Cores b..n-1 are the input's own, which the fresh sweep that began
         the carry chain checked.
         """
-        target = named_state("random", n, 2, seed=n + 1)
+        target = named_state(f"random:{n + 1}", n, 2)
         state, _, carry = sweep(random_mps(n, 2, chi, seed=n), target, 0)
         b = saturated_bond(state)
         sites, right_cores = [], []
@@ -670,7 +670,7 @@ class TestTrain:
             state, traj, _ = train(cfg)
             assert [r.step for r in traj] == list(range(len(traj))), (n, d)
             # the last recorded overlap is the final state's overlap with the target
-            target = named_state("random", n, d, seed=9)
+            target = named_state("random:9", n, d)
             assert abs(traj[-1].overlap - overlap_dense(state, target)) <= 1e-12, (n, d)
 
     def test_invalid_config_rejected_before_running(self):

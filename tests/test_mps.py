@@ -560,7 +560,7 @@ class TestOverlapDense:
 
     def test_matches_dense_dot(self):
         state = random_mps(5, 2, 4, seed=8)
-        target = named_state("random", 5, 2, seed=21)
+        target = named_state("random:21", 5, 2)
         dense = dense_amplitudes(state)
         assert abs(overlap_dense(state, target) - dense @ target.amplitudes) < 1e-12
 
@@ -588,7 +588,7 @@ class TestOverlapDense:
 
     def test_no_target_sized_temporaries(self):
         state = random_mps(16, 2, 8, seed=4)
-        target = named_state("random", 16, 2, seed=9)
+        target = named_state("random:9", 16, 2)
         tracemalloc.start()
         try:
             overlap_dense(state, target)

@@ -53,7 +53,7 @@ class TestProjection:
     def test_idempotent(self):
         state = gauge_to(random_mps(4, 2, 2, seed=6), 1)
         basis = subspace_basis_dense(state)
-        target = named_state("random", 4, 2, seed=30)
+        target = named_state("random:30", 4, 2)
         proj, norm = project_onto_subspace_dense(target, basis)
         proj2, _ = project_onto_subspace_dense(
             DenseState(4, 2, proj / np.linalg.norm(proj)), basis
@@ -63,7 +63,7 @@ class TestProjection:
     def test_pythagoras(self):
         state = gauge_to(random_mps(5, 2, 4, seed=9), 3)
         basis = subspace_basis_dense(state)
-        target = named_state("random", 5, 2, seed=40)
+        target = named_state("random:40", 5, 2)
         proj, norm = project_onto_subspace_dense(target, basis)
         residual = target.amplitudes - proj
         assert abs(1.0 - norm**2 - np.linalg.norm(residual) ** 2) < 1e-10
@@ -79,7 +79,7 @@ class TestProjection:
         sites[2] = sites[2] * 3.0  # destroy the right-isometry property
         broken = dataclasses.replace(state, sites=tuple(sites))
         basis = subspace_basis_dense(broken)
-        target = named_state("random", 4, 2, seed=50)
+        target = named_state("random:50", 4, 2)
         with pytest.raises(GaugeError, match="not orthonormal"):
             project_onto_subspace_dense(target, basis)
 
@@ -87,4 +87,4 @@ class TestProjection:
         basis = subspace_basis_dense(gauge_to(random_mps(4, 2, 2, seed=2), 1))
         basis[0, 3] = np.nan
         with pytest.raises(GaugeError, match="not orthonormal"):
-            project_onto_subspace_dense(named_state("random", 4, 2, seed=50), basis)
+            project_onto_subspace_dense(named_state("random:50", 4, 2), basis)

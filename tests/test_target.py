@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -167,8 +168,8 @@ class TestNamedState:
         np.testing.assert_allclose(state.amplitudes, np.full(8, 8**-0.5), atol=1e-15)
 
     def test_random_seeded_deterministic(self):
-        a = named_state("random", 3, 2, seed=4)
-        b = named_state("random", 3, 2, seed=4)
+        a = named_state("random:4", 3, 2)
+        b = named_state("random:4", 3, 2)
         assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
         assert abs(np.linalg.norm(a.amplitudes) - 1.0) < 1e-12
 
@@ -193,10 +194,10 @@ class TestNamedState:
         with pytest.raises(InputError):
             named_state("bell", 2, 2)
 
-    @pytest.mark.parametrize("name", ["uniform", "ghz", "w", "basis:1"])
+    @pytest.mark.parametrize("name", ["uniform", "ghz", "w"])
     def test_only_random_takes_a_seed(self, name):
         with pytest.raises(InputError, match=f"target {name!r} takes no seed"):
-            named_state(name, 2, 2, seed=3)
+            named_state(f"{name}:3", 2, 2)
 
 
 class TestTargetFiles:
@@ -348,7 +349,7 @@ class TestResolveTarget:
 
     def test_named_random_with_seed(self):
         a = resolve_target("named:random:7", 3, 2)
-        b = named_state("random", 3, 2, seed=7)
+        b = named_state("random:7", 3, 2)
         assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
 
     def test_named_basis(self):
@@ -364,6 +365,22 @@ class TestResolveTarget:
     def test_unrecognized(self):
         with pytest.raises(InputError):
             resolve_target("ghz", 2, 2)
+
+    # each faulty named: spec is refused with the one message for its fault
+    @pytest.mark.parametrize("spec, n, fragment", [
+        ("bogus:3", 2, "unknown target name 'bogus'"),
+        ("Random:3", 2, "unknown target name 'Random'"),
+        ("ghz:x", 2, "target 'ghz' takes no seed"),
+        ("ghz:3", 2, "target 'ghz' takes no seed"),
+        ("random", 2, "requires a seed"),
+        ("random:x", 2, "is not an integer"),
+        ("random:-3", 2, "must be >= 0"),
+        ("basis:1:3", 2, "is not an integer"),
+        ("basis:8", 3, "out of range"),
+    ])
+    def test_named_spec_fault_message(self, spec, n, fragment):
+        with pytest.raises(InputError, match=re.escape(fragment)):
+            resolve_target(f"named:{spec}", n, 2)
 
     def test_basis_index_not_an_integer(self):
         with pytest.raises(InputError, match="not an integer"):
