@@ -13,6 +13,7 @@ import time
 from .engine import MetricRecord, TrainConfig, train
 from .errors import InputError, SphereDMRGError
 from .mps import bond_dims, mps_to_json_dict
+from .target import ascii_int
 from .verify import oracle_check
 
 CSV_HEADER = "step,sweep,site,direction,overlap,angle,distance,stalled"
@@ -32,13 +33,13 @@ def build_parser() -> argparse.ArgumentParser:
             "single-site sweeping; writes the trajectory as CSV."
         ),
     )
-    p.add_argument("--sites", dest="n", type=int, required=True, help="number of sites n")
-    p.add_argument("--phys-dim", dest="d", type=int, default=TrainConfig.d,
+    p.add_argument("--sites", dest="n", type=ascii_int, required=True, help="number of sites n")
+    p.add_argument("--phys-dim", dest="d", type=ascii_int, default=TrainConfig.d,
                    help="local dimension d")
-    p.add_argument("--bond-dim", dest="chi", type=int, required=True,
+    p.add_argument("--bond-dim", dest="chi", type=ascii_int, required=True,
                    help="bond dimension cap")
-    p.add_argument("--seed", type=int, required=True, help="initialization seed")
-    p.add_argument("--max-sweeps", type=int, default=TrainConfig.max_sweeps)
+    p.add_argument("--seed", type=ascii_int, required=True, help="initialization seed")
+    p.add_argument("--max-sweeps", type=ascii_int, default=TrainConfig.max_sweeps)
     p.add_argument("--tol", type=float, default=TrainConfig.tol,
                    help="overlap-change convergence tolerance per sweep")
     p.add_argument("--target", required=True,

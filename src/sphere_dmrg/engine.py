@@ -127,9 +127,9 @@ class TrainConfig:
             value = getattr(self, field)
             if value < low:
                 raise InputError(f"{field} must be >= {low}, got {field}={value}")
-        # written so that NaN fails too
-        if not self.tol > 0:
-            raise InputError(f"tol must be > 0, got tol={self.tol}")
+        # written so that NaN fails too; an infinite tol converges unchecked
+        if not 0 < self.tol < math.inf:
+            raise InputError(f"tol must be finite and > 0, got tol={self.tol}")
 
 
 def sweep_schedule(n: int) -> list[tuple[int, str]]:

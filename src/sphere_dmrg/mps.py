@@ -15,7 +15,8 @@ space, so the split is the identity and the core itself, exact and with no
 QR; on the chain's saturated ends that skips the QR of every shift. Any
 other core takes one sign-fixed QR (``qr_orthonormalize``), which serves
 every non-square split; the shape-checked ``contract`` serves only dense
-conversion. Cores are plain float64 numpy arrays in row-major (C) order.
+conversion. Cores are float64 numpy arrays in no fixed memory order: a
+non-square left split returns the view ``q.T.reshape(...)``, not C-contiguous.
 
 Contracting a chain with a dense target is split at the middle bond,
 m = n // 2. The left environment of site i is the dense block of the cores
@@ -215,16 +216,13 @@ def absorb_factor(core: np.ndarray, t: np.ndarray, direction: str) -> np.ndarray
 def shift_center(state: MPS, direction: str) -> MPS:
     """One step of ``gauge_to``: move the center one site left or right.
 
-    Refuses a direction other than ``"left"`` or ``"right"`` and a step off
-    either end of the chain.
+    Refuses a direction other than ``"left"`` or ``"right"``; ``gauge_to``
+    bounds the step, so a step off either end is its out-of-range refusal.
     """
-    if direction not in ("left", "right"):
+    step = {"left": -1, "right": 1}.get(direction)
+    if step is None:
         raise InputError(f"direction must be 'left' or 'right', got {direction!r}")
-    if direction == "right" and state.center == state.n - 1:
-        raise InputError("cannot shift right at the last site")
-    if direction == "left" and state.center == 0:
-        raise InputError("cannot shift left at site 0")
-    return gauge_to(state, state.center + (1 if direction == "right" else -1))
+    return gauge_to(state, state.center + step)
 
 
 def gauge_to(state: MPS, center: int) -> MPS:

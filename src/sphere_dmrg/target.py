@@ -123,14 +123,14 @@ def state_from_counts(counts: dict[str, int], d: int) -> DenseState:
     return DenseState(n=n, d=d, amplitudes=amps)
 
 
-def _spec_integer(text: str) -> int | None:
-    """``text`` as an int if it is ASCII ``-?[0-9]+`` (not "+3", " 3" or "٣"), else None."""
+def ascii_int(text: str) -> int:
+    """The int of ASCII ``-?[0-9]+`` text (not "+3", "1_0" or "٣"); ValueError otherwise."""
     if re.fullmatch(r"-?[0-9]+", text) is None:
-        return None
+        raise ValueError(f"{text!r} is not an integer")
     try:
         return int(text)
     except ValueError:  # more digits than the interpreter converts
-        raise InputError(f"integer of {len(text)} digits is too long") from None
+        raise ValueError(f"integer of {len(text)} digits is too long") from None
 
 
 def named_state(name: str, n: int, d: int) -> DenseState:
@@ -147,10 +147,11 @@ def named_state(name: str, n: int, d: int) -> DenseState:
         raise InputError(f"target {head!r} takes no seed")
     if head == "random" and not colon:
         raise InputError("random target requires a seed")
-    k = _spec_integer(tail)
-    if k is None and head in ("basis", "random"):
+    try:
+        k = ascii_int(tail) if head in ("basis", "random") else None
+    except ValueError as exc:
         what = "seed" if head == "random" else "basis index"
-        raise InputError(f"{what} {tail!r} in {name!r} is not an integer")
+        raise InputError(f"{what} of target {head!r}: {exc}") from None
     if n < 1 or d < 2:
         raise InputError(f"invalid sizes n={n}, d={d}")
     check_dense_guard(n, d)
@@ -240,12 +241,10 @@ def load_target_file(path: str, n: int, d: int, kind: str) -> DenseState:
         counts = doc.get("counts")
         if not isinstance(counts, dict):
             raise InputError(f"field 'counts' in {path} must be an object")
-        if counts and file_d >= 1:  # state_from_counts refuses the rest
+        if counts:  # state_from_counts refuses an empty map
             # the first key's length is the file's n: compare it with the
-            # run's before the d**n vector is built, after the guard on it
-            file_n = len(next(iter(counts)))
-            check_dense_guard(file_n, file_d)
-            _check_sizes(path, file_n, file_d, n, d)
+            # run's before anything else is read from the file
+            _check_sizes(path, len(next(iter(counts))), file_d, n, d)
         return state_from_counts(counts, d=file_d)
     # before any size arithmetic, which the file's own n could make huge
     _check_sizes(path, json_int(doc.get("n"), f"field 'n' in {path}"), file_d, n, d)

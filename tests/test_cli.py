@@ -188,7 +188,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("extra, fragment", [
         (["--sites", "31"], "size guard"),
-        (["--target", "counts:{tmp}/counts.json"], "size guard"),  # 31-digit key
+        (["--target", "counts:{tmp}/counts.json"], "has (n, d) = (31, 2)"),  # 31-digit key
         (["--out", "{tmp}/file"], "output directory"),
         (["--tol", "nan"], "--tol=nan"),
         (["--seed", "-1"], "--seed=-1"),
@@ -198,6 +198,7 @@ class TestRunCommand:
         (["--phys-dim", "1"], "got --phys-dim=1"),
         (["--bond-dim", "0"], "got --bond-dim=0"),
         (["--max-sweeps", "0"], "got --max-sweeps=0"),
+        (["--tol", "inf"], "got --tol=inf"),
     ])
     def test_invalid_input_exit_2(self, tmp_path, capsys, extra, fragment):
         (tmp_path / "counts.json").write_text(
@@ -209,6 +210,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and fragment in err
         assert err.count("\n") == 1
+
+    # every integer flag reads ASCII -?[0-9]+, the rule of named: integers
+    @pytest.mark.parametrize("flag", ["--sites", "--phys-dim", "--bond-dim", "--seed",
+                                      "--max-sweeps"])
+    @pytest.mark.parametrize("value", ["1_0", "+3", " 3", "٣", "３"])
+    def test_integer_flag_is_an_ascii_integer(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, flag, value)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
 
     def test_oracle_check_passes(self, tmp_path):
         assert run(tmp_path, "--oracle-check") == 0
@@ -341,12 +352,12 @@ DOCUMENTS = {
 }
 # flag: (values a run can use, values it refuses); None leaves the flag out
 FLAG_VALUES = {
-    "--sites": (["1", "3", "6"], [None, "0", "-2", "x", "3.0"]),
-    "--phys-dim": ([None, "2", "3"], ["1", "0", "d"]),
-    "--bond-dim": (["1", "2", "4"], [None, "0", "-1", "c"]),
-    "--seed": (["0", "7"], [None, "-1", "s"]),
-    "--max-sweeps": (["1", "3"], ["0", "-1", "k"]),  # never the default 100
-    "--tol": ([None, "1e-10", "0.5", "inf"], ["nan", "-1", "0", "t"]),
+    "--sites": (["1", "3", "6"], [None, "0", "-2", "x", "3.0", "1_0", "+3"]),
+    "--phys-dim": ([None, "2", "3"], ["1", "0", "d", "1_0", "+3"]),
+    "--bond-dim": (["1", "2", "4"], [None, "0", "-1", "c", "1_0", "+3"]),
+    "--seed": (["0", "7"], [None, "-1", "s", "1_0", "+3"]),
+    "--max-sweeps": (["1", "3"], ["0", "-1", "k", "1_0", "+3"]),  # never the default 100
+    "--tol": ([None, "1e-10", "0.5"], ["nan", "-1", "0", "t", "inf"]),
 }
 NAMED_SPECS = (
     ["named:uniform", "named:w", "named:basis:3", "named:random:4"],

@@ -622,7 +622,7 @@ class TestSweepGaugeCheck:
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("n", 0), ("d", 1), ("chi", 0), ("seed", -1), ("max_sweeps", 0),
-        ("tol", 0.0), ("tol", math.nan),
+        ("tol", 0.0), ("tol", math.nan), ("tol", math.inf),
     ])
     def test_bad_field_refused_when_built(self, field, value):
         with pytest.raises(InputError, match=f"got {field}="):

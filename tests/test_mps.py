@@ -209,9 +209,9 @@ class TestShiftCenter:
 
     def test_boundary_errors(self):
         state = random_mps(3, 2, 2, seed=0)
-        with pytest.raises(InputError, match="^cannot shift left at site 0$"):
+        with pytest.raises(InputError, match=r"^center -1 out of range \[0, 3\)$"):
             shift_center(state, "left")
-        with pytest.raises(InputError, match="^cannot shift right at the last site$"):
+        with pytest.raises(InputError, match=r"^center 3 out of range \[0, 3\)$"):
             shift_center(gauge_to(state, 2), "right")
 
     def test_bad_direction(self):
