@@ -13,7 +13,7 @@ import time
 from .engine import MetricRecord, TrainConfig, train
 from .errors import InputError, SphereDMRGError
 from .mps import bond_dims, mps_to_json_dict
-from .target import ascii_int
+from .target import ascii_float, ascii_int
 from .verify import oracle_check
 
 CSV_HEADER = "step,sweep,site,direction,overlap,angle,distance,stalled"
@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bond dimension cap")
     p.add_argument("--seed", type=ascii_int, required=True, help="initialization seed")
     p.add_argument("--max-sweeps", type=ascii_int, default=TrainConfig.max_sweeps)
-    p.add_argument("--tol", type=float, default=TrainConfig.tol,
+    p.add_argument("--tol", type=ascii_float, default=TrainConfig.tol,
                    help="overlap-change convergence tolerance per sweep")
     p.add_argument("--target", required=True,
                    help="named:<name>[:<k>] | file:<amplitudes path> | counts:<counts path>;"

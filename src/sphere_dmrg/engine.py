@@ -12,29 +12,37 @@ place in the run, its overlap with the target and whether it stalled.
 The target is contracted against the frozen cores by the middle-bond fold
 of ``mps`` (``left_start``, ``left_env``, ``right_env``; see that module's
 docstring). A sweep carries its environments along instead of rebuilding
-target-sized blocks at every update. It ends with the center at site 0 and
-every right environment of its final state built, which the next sweep
-reuses in place of its opening right fold. So the first sweep of a run
-reads the target at most three times (the right fold at its start, then at
-most one crossing in each direction) and every later sweep at most twice;
-a chain saturated at the middle bond (b <= n // 2 below) never crosses it
-after the opening fold.
+target-sized blocks at every update, and hands the next sweep the
+environments around the center it ends at (``SweepCarry``). So the first
+sweep of a run reads the target at most three times (the right fold at its
+start, then at most one crossing in each direction) and every later sweep
+at most twice; a later sweep whose window (below) does not straddle the
+middle bond never reads it.
 
-A sweep stops its R half at site b - 1, where b >= 1 is the first bond
-whose dimension is at its right cap d**(n-b) (see ``mps.bond_dims``; bond
-n counts as 1, so b <= n). Cores b..n-1 are then square right isometries,
-a square orthogonal block, so the subspace of the update at R-half site
-b-1 is S* = (the isometries left of b-1) times every state of sites
-b-1..n-1. That update moves to the closest unit vector of S*. Every update
-the schedule makes after it up to L-half site b-1 has a subspace S with
-that vector in S and S inside S*, so it would return the same state with
-the same projection norm, and stall exactly when the update at b-1
-stalled. The sweep therefore repeats that record for R-half sites b..n-1
-and L-half sites n-2..b-1, each with its own step, site and direction,
-and makes the L half's first shift out of b-1. Cores b..n-1 of the
-returned state are the input's own arrays and their right environments
-are untouched. With chi < d no bond is saturated from the right before
-the chain end, b = n and nothing repeats.
+One window rule decides which rows of a sweep update. Let b >= 1 be the
+first bond whose dimension is at its right cap d**(n-b) (see
+``mps.bond_dims``; bond n counts as 1, so b <= n), a the last bond j >= 1
+at its left cap d**j (0 if there is none) and rest = min(a, b - 1).
+Updates run only at R-half sites start+1..b-1 and L-half sites b-2..rest,
+where start is -1 in a fresh sweep and rest in a carried one; every other
+row repeats the record before it, with its own step, site and direction.
+The state a sweep returns has its center at rest.
+
+Why the repeated rows are exact. Cores b..n-1 are square right isometries,
+a square orthogonal block, so the update at R-half site b-1 moves to the
+closest unit vector of S = (the isometries left of b-1) times every state
+of sites b-1..n-1. Every update the schedule makes after it up to L-half
+site b-1 has a subspace containing that vector and contained in S, so it
+would return the same state with the same projection norm, and stall
+exactly when the update at b-1 stalled. The left end mirrors this: bonds
+0..a are at their left caps, so the block of cores 0..a-1 is square
+orthogonal and the update at L-half site a moves to the closest unit
+vector of (every state of sites 0..a) times the isometries right of a,
+which L-half sites a-1..0 and, in the next sweep, R-half sites 0..a cannot
+leave. A chain with a >= b - 1 spans the whole space at R-half site b-1,
+so its later sweeps make no update at all. Cores b..n-1 of the returned
+state are the input's own arrays and so are cores 0..rest-1 of a carried
+sweep's; their environments are carried untouched.
 
 An update whose projection norm is at or below ``STALL_EPS`` stalls: it
 keeps the state and records the overlap the state already has, which lies
@@ -50,14 +58,14 @@ states and records are the same as with the eager walk of ``mps.gauge_to``.
 
 Every core a shift makes is checked for isometry right after the shift
 (``mps.check_isometry``). ``sweep`` checks the whole gauge
-(``mps.check_gauge``) only of a state that a sweep did not return itself.
-Handed back the carry of the state it returned, it skips that check: each
-non-center core of that state up to site b - 1 was made, and checked, by
-a shift of that sweep, and nothing wrote to it afterwards. Cores b..n-1
-are the input's own: the fresh sweep that began the chain of carries
-checked them with the whole gauge, and no sweep since wrote to them.
+(``mps.check_gauge``) only of a state that a sweep did not return itself,
+and such a state must have its center at 0. Handed back the carry of the
+state it returned, it skips that check: each non-center core of that state
+was made, and checked, by a shift of that sweep or of the fresh sweep that
+began the chain of carries, or is one of cores b..n-1, which that fresh
+sweep checked with the whole gauge; no sweep since wrote to any of them.
 Handing back a carry asserts that its state's cores are unchanged, which
-its right environments assume anyway.
+its environments assume anyway.
 """
 
 from __future__ import annotations
@@ -202,17 +210,23 @@ def optimal_update(state: MPS, target: DenseState) -> tuple[MPS, float, bool]:
 
 @dataclass(frozen=True)
 class SweepCarry:
-    """The right environments of ``state`` against ``target``.
+    """What a sweep leaves the next one: environments around the center, and a record.
 
-    ``sweep`` returns one for the state it returns; handed back with that
-    very state and target, it replaces the next sweep's opening right fold
-    and its whole-gauge check. Handing it back asserts that the cores of
-    ``state`` are unchanged since that sweep checked each one.
+    ``left`` holds the left environments of sites 0..c and ``right`` the
+    right environments of sites c..n-1 of ``state`` against ``target``,
+    with c the center; ``record`` is the sweep's last record, which the
+    next sweep's R-half rows 0..c repeat. ``sweep`` returns one for the
+    state it returns; handed back with that very state and target, it
+    replaces the next sweep's opening right fold and its whole-gauge check.
+    Handing it back asserts that the cores of ``state`` are unchanged since
+    a sweep checked each one.
     """
 
     state: MPS
     target: DenseState
+    left: tuple[np.ndarray, ...]
     right: tuple[np.ndarray, ...]
+    record: MetricRecord
 
 
 def sweep(
@@ -223,53 +237,59 @@ def sweep(
 ) -> tuple[MPS, list[MetricRecord], SweepCarry]:
     """One full sweep of ``optimal_update`` steps over ``sweep_schedule(n)``.
 
-    Emits 2n-1 records (1 for n=1) and returns with the center at site 0,
-    together with the right environments of the returned state. Record k
-    of the sweep is step ``sweep_index * (2n-1) + k`` of the run. The
-    environments are carried from step to step (see the module docstring).
-    Updates run at R-half sites 0..b-1 and L-half sites b-2..0, with b the
-    first bond at its right cap; the 2(n-b) records between repeat the
-    overlap and stall of R-half site b-1, which is what those updates
-    would measure (see the module docstring).
-    ``carry`` is used only if its state and target are the very objects
-    passed here, as ``train`` passes them; the sweep then reads the target
-    at most twice and skips the whole-gauge check, because that sweep
-    checked each core of the state it returned when a shift made it, or
-    took it unchanged from its own input. Otherwise it checks the whole
+    Emits 2n-1 records (1 for n=1) and returns the state with its center
+    at rest, together with the carry for the next sweep. Record k of the
+    sweep is step ``sweep_index * (2n-1) + k`` of the run. Updates run
+    only at R-half sites start+1..b-1 and L-half sites b-2..rest (the
+    window rule of the module docstring); every other row repeats the
+    overlap and stall of the record before it, which is what its update
+    would measure. ``carry`` is used only if its state and target are the
+    very objects passed here, as ``train`` passes them: start is then rest,
+    so R-half rows 0..rest repeat the carry's record, the sweep reads the
+    target at most twice and it skips the whole-gauge check, because each
+    core of that state was checked when it was made or taken unchanged
+    from a checked input. Otherwise the state must have its center at 0
+    (``InputError`` if not), start is -1, and the sweep checks the whole
     gauge, folds the right environments from the chain end and reads the
     target at most three times. After that only the isometry each gauge
     shift produces can change, and it is checked right after its shift. A
     shift keeps its gauge factor and applies it to the new center only when
     the update there stalls (see the module docstring).
     """
-    if state.center != 0:
+    own = carry is not None and carry.state is state and carry.target is target
+    if not own and state.center != 0:
         raise InputError(f"sweep requires center 0, got {state.center}")
     check_dims(state, target)
-    n, m, t = state.n, state.n // 2, target.amplitudes
+    n, d, m, t = state.n, state.d, state.n // 2, target.amplitudes
     cores = list(state.sites)
+    # a / b: the last bond at its left cap d**a, the first at its right cap
+    # d**(n-b), bond n counting as 1
+    a = max((j for j in range(1, n) if cores[j].shape[0] == d**j), default=0)
+    b = next((j for j in range(1, n) if cores[j].shape[0] == d ** (n - j)), n)
+    rest = min(a, b - 1)
     # left[i] / right[i]: the environments of site i (see the mps module docstring)
-    left = [left_start(m, t)] + [None] * (n - 1)
-    if carry is not None and carry.state is state and carry.target is target:
-        # the sweep that returned state checked each of its isometries
-        right = list(carry.right)
+    if own:
+        # the sweeps that made state checked each of its isometries
+        left = list(carry.left) + [None] * (n - 1 - rest)
+        right = [None] * rest + list(carry.right)
+        start, last = rest, carry.record
     else:
         check_gauge(state)
+        left = [left_start(m, t)] + [None] * (n - 1)
         right = [None] * (n - 1) + [np.ones((1, 1))]
         for i in range(n - 1, 0, -1):
             right[i - 1] = right_env(right[i], cores[i], i, m, t)
-    # b: the first bond at its right cap d**(n-b), bond n counting as 1
-    b = next((j for j in range(1, n) if cores[j].shape[0] == state.d ** (n - j)), n)
+        start, last = -1, None
     schedule = sweep_schedule(n)
     first = sweep_index * len(schedule)
     records: list[MetricRecord] = []
     factor = None  # the gauge factor the center core is owed by the last shift
     for k, (site, direction) in enumerate(schedule, start=first):
-        if b <= k - first < 2 * n - b:
-            # R-half sites b..n-1, L-half sites n-2..b-1 repeat R-half site b-1
-            last = records[-1]
-            records.append(
-                MetricRecord(k, sweep_index, site, direction, last.overlap, last.stalled)
-            )
+        j = k - first
+        if not (start < j < b or 2 * n - b <= j <= 2 * n - 2 - rest):
+            # outside the window an update cannot move the state
+            last = MetricRecord(k, sweep_index, site, direction, last.overlap, last.stalled)
+            records.append(last)
             continue
         if direction == "R" and site > 0:
             core, factor = split_core(cores[site - 1], "right")
@@ -286,16 +306,22 @@ def sweep(
             side = "right" if direction == "R" else "left"
             cores[site] = absorb_factor(cores[site], factor, side)
         overlap, stalled = _closest_point(cores, site, coeffs, norm)
-        records.append(MetricRecord(k, sweep_index, site, direction, overlap, stalled))
-    state = MPS(sites=tuple(cores), center=0)
-    return state, records, SweepCarry(state=state, target=target, right=tuple(right))
+        last = MetricRecord(k, sweep_index, site, direction, overlap, stalled)
+        records.append(last)
+    state = MPS(sites=tuple(cores), center=rest)
+    return state, records, SweepCarry(
+        state=state, target=target, left=tuple(left[:rest + 1]),
+        right=tuple(right[rest:]), record=last,
+    )
 
 
 def train(config: TrainConfig) -> tuple[MPS, list[MetricRecord], str]:
     """Run sweeps until the per-sweep overlap change drops below tol.
 
     Returns (final state, full trajectory, termination reason), where the
-    reason is "converged" or "sweep-limit". Deterministic in the config.
+    reason is "converged" or "sweep-limit". The final state has its center
+    where the last sweep left it, at rest (see the module docstring).
+    Deterministic in the config.
     """
     target = resolve_target(config.target, config.n, config.d)
     state = random_mps(config.n, config.d, config.chi, config.seed)

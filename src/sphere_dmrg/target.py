@@ -133,6 +133,19 @@ def ascii_int(text: str) -> int:
         raise ValueError(f"integer of {len(text)} digits is too long") from None
 
 
+def ascii_float(text: str) -> float:
+    """The float of ASCII ``[-+]?(digits[.digits]|.digits)([eE][-+]?digits)?`` text.
+
+    The spellings ``inf``, ``infinity`` and ``nan`` (any case, signed) read
+    as float does, so a range check downstream can name them. Anything else,
+    such as "1_0e-3", " 1e-3 " or "٣", raises ValueError.
+    """
+    number = r"[-+]?([0-9]+(\.[0-9]+)?|\.[0-9]+)([eE][-+]?[0-9]+)?"
+    if re.fullmatch(rf"{number}|[-+]?(?i:inf|infinity|nan)", text) is None:
+        raise ValueError(f"{text!r} is not a number")
+    return float(text)
+
+
 def named_state(name: str, n: int, d: int) -> DenseState:
     """Build the named analytic target ``<name>[:<k>]``.
 

@@ -26,7 +26,7 @@ def oracle_check(config: TrainConfig) -> list[str]:
     """Compare two sweeps of the engine against a dense-oracle replay.
 
     Runs ``sweep`` twice on the config's instance, the second time with
-    the right environments the first one returned, then replays
+    the carry the first one returned, as ``train`` does, then replays
     ``sweep_schedule`` twice with the dense oracle: at each center it
     builds the subspace basis, projects the target onto it and moves to
     the normalized projection. At every step it checks that the

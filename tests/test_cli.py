@@ -122,6 +122,17 @@ class TestRunCommand:
         dense = dense_amplitudes(state)
         assert abs(sum(x * x for x in dense) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("sites, bond_dim, center", [
+        ("6", "1", 0), ("6", "4", 2), ("6", "8", 2),
+    ])
+    def test_final_mps_center_is_where_the_last_sweep_rests(
+        self, tmp_path, sites, bond_dim, center
+    ):
+        # min(a, b - 1): the last bond at its left cap, the first at its right cap minus 1
+        assert run(tmp_path, "--sites", sites, "--bond-dim", bond_dim) == 0
+        doc = json.loads((tmp_path / "out" / "final_mps.json").read_text())
+        assert doc["center"] == center
+
     def test_file_target(self, tmp_path):
         tfile = tmp_path / "target.json"
         tfile.write_text(json.dumps(
@@ -220,6 +231,27 @@ class TestRunCommand:
             run(tmp_path, flag, value)
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    # --tol reads ASCII decimal or exponent text (target.ascii_float), not
+    # everything Python's float reads
+    @pytest.mark.parametrize("value", ["1_0e-3", " 1e-3 ", "1e-3\n", "1.", "٣e-3", "１e-3",
+                                       "0x1p-3", "infinit"])
+    def test_tol_is_an_ascii_number(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, "--tol", value)
+        assert exc.value.code == 2
+        assert "argument --tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, tol", [
+        ("1e-3", 1e-3), (".5", 0.5), ("+2.5E-1", 0.25), ("3", 3.0), ("-1", -1.0),
+        ("INF", math.inf), ("-Infinity", -math.inf),
+    ])
+    def test_tol_reads_decimal_exponent_and_inf_text(self, value, tol):
+        args = cli.build_parser().parse_args(
+            ["--sites", "3", "--bond-dim", "2", "--seed", "1", "--target", "named:w",
+             "--out", "o", f"--tol={value}"]
+        )
+        assert args.tol == tol
 
     def test_oracle_check_passes(self, tmp_path):
         assert run(tmp_path, "--oracle-check") == 0
@@ -357,7 +389,7 @@ FLAG_VALUES = {
     "--bond-dim": (["1", "2", "4"], [None, "0", "-1", "c", "1_0", "+3"]),
     "--seed": (["0", "7"], [None, "-1", "s", "1_0", "+3"]),
     "--max-sweeps": (["1", "3"], ["0", "-1", "k", "1_0", "+3"]),  # never the default 100
-    "--tol": ([None, "1e-10", "0.5"], ["nan", "-1", "0", "t", "inf"]),
+    "--tol": ([None, "1e-10", "0.5"], ["nan", "-1", "0", "t", "inf", "1_0e-3", " 1e-3 ", "٣"]),
 }
 NAMED_SPECS = (
     ["named:uniform", "named:w", "named:basis:3", "named:random:4"],

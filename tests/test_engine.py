@@ -36,14 +36,40 @@ def saturated_bond(state):
     """The smallest b >= 1 from which every core is square as an (l, d*r) matrix.
 
     Cores b..n-1 then form a square orthogonal block, so bond b sits at its
-    right cap d**(n-b); b = n when the last core is not square. A sweep
-    updates R-half sites 0..b-1 and L-half sites b-2..0 and repeats the
-    record of R-half site b-1 in between, at schedule positions b..2n-b-1.
+    right cap d**(n-b); b = n when the last core is not square.
     """
     shapes = [core.shape for core in state.sites]
     return next(
         b for b in range(1, state.n + 1) if all(l == d * r for l, d, r in shapes[b:])
     )
+
+
+def left_cap(state):
+    """The largest a >= 0 before which every core is square as an (l*d, r) matrix.
+
+    Bonds 0..a are then at their left caps d**j, so cores 0..a-1 form a
+    square orthogonal block once they are left isometries; a = 0 when core
+    0 is not square, as with chi < d.
+    """
+    shapes = [core.shape for core in state.sites]
+    return next(a for a in range(state.n, -1, -1) if all(l * d == r for l, d, r in shapes[:a]))
+
+
+def rest_site(state):
+    """Where a sweep leaves the center: min(a, b - 1)."""
+    return min(left_cap(state), saturated_bond(state) - 1)
+
+
+def updated_rows(state, carried):
+    """(site, direction) of each update one sweep of ``state`` makes.
+
+    R-half sites start+1..b-1, then L-half sites b-2..rest, where start is
+    rest for a sweep handed its own carry and -1 for a fresh one; every
+    other row of the schedule repeats the record before it.
+    """
+    b, rest = saturated_bond(state), rest_site(state)
+    start = rest if carried else -1
+    return [(i, "R") for i in range(start + 1, b)] + [(i, "L") for i in range(b - 2, rest - 1, -1)]
 
 
 class TestComputeProjectionTensor:
@@ -206,7 +232,7 @@ class TestSweep:
 
     def test_requires_center_zero(self):
         state = gauge_to(random_mps(3, 2, 2, seed=0), 1)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^sweep requires center 0, got 1$"):
             sweep(state, named_state("uniform", 3, 2), 0)
 
     def test_monotone_overlap(self):
@@ -227,21 +253,32 @@ class TestSweepFold:
         assert sweep_schedule(3) == [(0, "R"), (1, "R"), (2, "R"), (1, "L"), (0, "L")]
 
     def test_matches_update_replay(self):
+        """Updated rows match ``optimal_update``; a repeated row is what its update measures."""
         for n, d, chi in itertools.product(range(1, 10), (2, 3), (1, 2, 3, 16)):
             start = random_mps(n, d, chi, seed=n + chi)
             target = named_state(f"random:{100 + n}", n, d)
-            state, replay = start, start
+            state, replay, carry, prev = start, start, None, None
             schedule = sweep_schedule(n)
             for k in range(2):
-                state, records, _ = sweep(state, target, k)
-                for j, (rec, (site, direction)) in enumerate(zip(records, schedule)):
-                    replay, overlap, stalled = optimal_update(gauge_to(replay, site), target)
-                    assert (rec.step, rec.sweep, rec.site, rec.direction, rec.stalled) == (
-                        k * len(schedule) + j, k, replay.center, direction, stalled,
-                    ), (n, d, chi)
-                    assert abs(rec.overlap - overlap) < 1e-12, (n, d, chi, rec)
+                updated = updated_rows(state, carried=k > 0)
+                state, records, carry = sweep(state, target, k, carry)
                 assert len(records) == len(schedule)
-                replay = gauge_to(replay, 0)
+                for j, (rec, (site, direction)) in enumerate(zip(records, schedule)):
+                    assert (rec.step, rec.sweep, rec.site, rec.direction) == (
+                        k * len(schedule) + j, k, site, direction,
+                    ), (n, d, chi)
+                    moved, overlap, stalled = optimal_update(gauge_to(replay, site), target)
+                    assert rec.stalled == stalled, (n, d, chi, rec)
+                    assert abs(rec.overlap - overlap) < 1e-12, (n, d, chi, rec)
+                    if (site, direction) in updated:
+                        replay = moved
+                    else:
+                        assert (rec.overlap, rec.stalled) == (prev.overlap, prev.stalled)
+                        np.testing.assert_allclose(
+                            dense_amplitudes(moved), dense_amplitudes(replay), atol=1e-10,
+                        )
+                    prev = rec
+                assert state.center == replay.center == rest_site(start), (n, d, chi)
             np.testing.assert_allclose(
                 dense_amplitudes(state), dense_amplitudes(replay),
                 atol=1e-12,
@@ -306,25 +343,26 @@ class TestSweepGaugeFactor:
             # factor is not the identity
             monkeypatch.setattr(engine, "STALL_EPS", eps)
             state = replay = random_mps(n, d, chi, seed=n + chi)
-            b = saturated_bond(state)
             carry = None
             for k in range(2):
+                updated = updated_rows(state, carried=k > 0)
                 state, records, carry = sweep(state, target, k, carry)
                 assert len(records) == len(schedule)
-                for j, (rec, (site, _)) in enumerate(zip(records, schedule)):
-                    if b <= j < 2 * n - b:
-                        # the replay stays at R-half site b-1 and repeats its record
-                        prev = records[j - 1]
+                for j, (rec, row) in enumerate(zip(records, schedule)):
+                    if row not in updated:
+                        # the replay stays put and the row repeats the one before
+                        prev = records[j - 1] if j else last
                         assert (rec.overlap, rec.stalled) == (prev.overlap, prev.stalled), (
                             eps, rec,
                         )
                         continue
-                    replay, overlap, stalled = optimal_update(gauge_to(replay, site), target)
+                    replay, overlap, stalled = optimal_update(gauge_to(replay, row[0]), target)
                     assert (rec.overlap, rec.stalled) == (overlap, stalled), (
                         eps, rec,
                     )
                     mid_sweep_stalls += rec.stalled and j > 0
-                assert replay.center == 0
+                last = records[-1]
+                assert replay.center == state.center == rest_site(state)
                 assert [c.tobytes() for c in state.sites] == [
                     c.tobytes() for c in replay.sites
                 ], (eps, k)
@@ -345,34 +383,44 @@ class TestSweepGaugeFactor:
         return calls
 
     @staticmethod
-    def non_square_shifts(state):
+    def non_square_shifts(state, carried):
         """Shifts of one sweep out of a core whose matrix is not square.
 
-        With b = ``saturated_bond(state)``, the R half shifts out of sites
-        0..b-2, each core read as an (l*d, r) matrix; the L half out of sites
-        b-1..1, read as (l, d*r). Shifts keep the core shapes, so the state's
-        shapes decide every shift.
+        The shift before each update of ``updated_rows`` but a fresh sweep's
+        first: an R-half update at site i shifts out of site i-1, read as an
+        (l*d, r) matrix, an L-half one out of site i+1, read as (l, d*r).
+        Shifts keep the core shapes, so the state's shapes decide every shift.
         """
-        b = saturated_bond(state)
         shapes = [core.shape for core in state.sites]
-        return sum(l * d != r for l, d, r in shapes[:b - 1]) + sum(
-            l != d * r for l, d, r in shapes[1:b]
+        return sum(
+            l * d != r if direction == "R" else l != d * r
+            for i, direction in updated_rows(state, carried) if (i, direction) != (0, "R")
+            for l, d, r in [shapes[i - 1] if direction == "R" else shapes[i + 1]]
         )
 
     @pytest.mark.parametrize(
         "n, d, chi",
-        [(1, 2, 3), (2, 2, 3), (5, 2, 3), (9, 2, 3), (12, 2, 16), (7, 3, 5), (6, 3, 2)],
+        [(1, 2, 3), (2, 2, 3), (5, 2, 3), (9, 2, 3), (12, 2, 16), (7, 3, 5), (6, 3, 2),
+         (4, 2, 4), (5, 2, 4)],
     )
     def test_one_qr_per_non_square_shift_none_per_square_one(self, monkeypatch, n, d, chi):
         state = random_mps(n, d, chi, seed=n)
         target = named_state(f"random:{n + 1}", n, d)
-        expected = self.non_square_shifts(state)
         if chi < d:
-            # every bond is chi < d, so no core's matrix is square
-            assert expected == 2 * n - 2
+            # every bond is chi < d, so no core's matrix is square; a
+            # carried sweep repeats R-half site 0 and still shifts out of it
+            assert self.non_square_shifts(state, carried=False) == 2 * n - 2
+            assert self.non_square_shifts(state, carried=True) == 2 * n - 2
+        if (n, chi) == (12, 16):
+            # rest = 4, b = 8: a carried sweep shifts out of 4..6 and 7..5
+            assert self.non_square_shifts(state, carried=True) == 6
         calls = self.wrap_qr(monkeypatch)
-        sweep(state, target, 0)
-        assert len(calls) == expected
+        carry = None
+        for k in range(3):
+            expected = self.non_square_shifts(state, carried=k > 0)
+            calls.clear()
+            state, _, carry = sweep(state, target, k, carry)
+            assert len(calls) == expected, k
 
     def test_failed_right_shift_names_its_site(self, monkeypatch):
         state = random_mps(4, 2, 2, seed=3)
@@ -383,12 +431,13 @@ class TestSweepGaugeFactor:
             sweep(state, target, 0)
 
     def test_failed_left_shift_names_its_site(self, monkeypatch):
-        n = 4
-        target = named_state("random:4", n, 2)
-        # chi=2 ends the R half after one QR (site 1), chi=4 after none
-        for chi, r_half_qrs in ((2, 1), (4, 0)):
+        # (n, chi) = (4, 2) ends the R half after one QR (site 1), and so
+        # does (6, 4), whose sites 0 and 1 are square
+        for n, chi, r_half_qrs in ((4, 2, 1), (6, 4, 1)):
+            target = named_state("random:4", n, 2)
             state = random_mps(n, 2, chi, seed=3)
             b = saturated_bond(state)
+            assert rest_site(state) < b - 1
             shapes = [core.shape for core in state.sites]
             assert sum(l * d != r for l, d, r in shapes[:b - 1]) == r_half_qrs
             # the L half's first shift leaves the R half's last center, site
@@ -410,30 +459,60 @@ def assert_same_sweep(a, b):
 
 
 class TestSweepCarry:
-    """``sweep`` reuses the right environments of the state it returned."""
+    """``sweep`` reuses the environments and the last record of the state it returned."""
+
+    @staticmethod
+    def environments(state, target):
+        """The left environments of sites 0..c and right ones of c..n-1, built from the ends."""
+        n, c, m, t = state.n, state.center, state.n // 2, target.amplitudes
+        left = [mps.left_start(m, t)]
+        for i in range(c):
+            left.append(mps.left_env(left[-1], state.sites[i], i, m, t))
+        right = [np.ones((1, 1))]
+        for i in range(n - 1, c, -1):
+            right.insert(0, mps.right_env(right[0], state.sites[i], i, m, t))
+        return left, right
 
     def test_carried_sweep_matches_fresh(self):
         for n, d, chi in itertools.product(range(1, 10), (2, 3), (1, 2, 3, 16)):
             target = named_state(f"random:{100 + n}", n, d)
             state, _, carry = sweep(random_mps(n, d, chi, seed=n + chi), target, 0)
             carried = sweep(state, target, 1, carry)
-            fresh = sweep(state, target, 1)
-            assert_same_sweep(carried, fresh)
-            assert [e.tobytes() for e in carried[2].right] == [
-                e.tobytes() for e in fresh[2].right
-            ], (n, d, chi)
+            for returned, _, new_carry in ((state, None, carry), carried):
+                # each carry holds the environments of its own state, bit for bit
+                left, right = self.environments(returned, target)
+                assert [e.tobytes() for e in new_carry.left] == [e.tobytes() for e in left]
+                assert [e.tobytes() for e in new_carry.right] == [e.tobytes() for e in right]
+            if state.center == 0:
+                # rest = 0: R-half site 0 has the environments of the last
+                # update, so repeating its record is what a fresh sweep computes
+                assert_same_sweep(carried, sweep(state, target, 1))
+            else:
+                # a fresh sweep of the same vector walks back to 0 and
+                # updates R-half sites 0..rest again, with other rounding
+                fresh = sweep(gauge_to(state, 0), target, 1)
+                for a, b in zip(carried[1], fresh[1]):
+                    assert (a.step, a.site, a.direction, a.stalled) == (
+                        b.step, b.site, b.direction, b.stalled,
+                    )
+                    assert abs(a.overlap - b.overlap) < 1e-12, (n, d, chi)
 
     def test_foreign_carry_ignored(self):
         n, d, chi = 6, 2, 2
         target = named_state("random:7", n, d)
         other_target = named_state("random:8", n, d)
-        state, _, carry = sweep(random_mps(n, d, chi, seed=1), target, 0)
+        start = random_mps(n, d, chi, seed=1)
+        state, _, carry = sweep(start, target, 0)
         _, _, other_carry = sweep(random_mps(n, d, chi, seed=2), target, 0)
-        # a carry built for another state, or for another target
-        assert_same_sweep(sweep(state, target, 1, other_carry), sweep(state, target, 1))
-        assert_same_sweep(
-            sweep(state, other_target, 1, carry), sweep(state, other_target, 1)
-        )
+        assert state.center == rest_site(state) == 1
+        # a carry built for another state, or for another target: a state
+        # at center 0 sweeps as without a carry, any other is refused
+        assert_same_sweep(sweep(start, target, 1, other_carry), sweep(start, target, 1))
+        assert_same_sweep(sweep(start, target, 1, carry), sweep(start, target, 1))
+        for args in ((state, target, 1, other_carry), (state, other_target, 1, carry),
+                     (state, target, 1)):
+            with pytest.raises(InputError, match=r"^sweep requires center 0, got 1$"):
+                sweep(*args)
 
     @staticmethod
     def count_crossings(monkeypatch):
@@ -470,12 +549,17 @@ class TestSweepCarry:
     @pytest.mark.parametrize("n, chi, expected", [
         (4, 4, [1, 0, 0, 0]),  # b = 2 = n // 2
         (6, 8, [1, 0, 0, 0]),  # b = 3 = n // 2
-        (5, 4, [3, 2, 2, 2]),  # b = 3 > n // 2
+        (5, 4, [2, 0, 0, 0]),  # b = 3 > n // 2, but a = 2 >= b - 1
+        (8, 4, [3, 2, 2, 2]),  # a = 2 < n // 2 < b = 6
     ])
     def test_saturated_middle_bond_is_crossed_only_by_the_opening_fold(
         self, monkeypatch, n, chi, expected
     ):
-        """With b <= n // 2 neither half-sweep shifts across the middle bond."""
+        """A later sweep crosses the middle bond m only if rest < m <= b - 1.
+
+        With b <= n // 2 neither half-sweep shifts across it; a chain with
+        a >= b - 1 makes no update after its first sweep.
+        """
         target = named_state("random:3", n, 2)
         state, carry = random_mps(n, 2, chi, seed=1), None
         crossings = self.count_crossings(monkeypatch)
@@ -511,14 +595,22 @@ class TestSaturatedTail:
 
     @pytest.mark.parametrize("n, d, chi", [
         (1, 2, 1), (3, 2, 1), (8, 2, 1), (5, 3, 2), (4, 2, 4), (6, 2, 8), (7, 3, 9), (9, 2, 16),
+        (5, 2, 4), (3, 3, 9), (1, 3, 2), (4, 3, 1), (12, 2, 16),
     ])
     def test_one_projection_per_update_made(self, monkeypatch, n, d, chi):
-        """Sites 0..b-1 R and b-2..0 L are projected; chi < d gives b = n, so none repeats."""
+        """A fresh sweep projects at sites 0..b-1 R and b-2..rest L, a carried one from rest+1.
+
+        So a later sweep makes 2(b-1-rest) projections: none on a chain
+        with a >= b - 1, such as (5, 2, 4) and (6, 2, 8); chi < d gives
+        b = n and rest = 0, so only its R-half site 0 repeats.
+        """
         state = random_mps(n, d, chi, seed=n)
         target = named_state(f"random:{n + 1}", n, d)
-        b = saturated_bond(state)
+        b, rest = saturated_bond(state), rest_site(state)
         if chi < d:
-            assert b == n
+            assert (b, rest) == (n, 0)
+        if (n, chi) == (12, 16):
+            assert (b, rest) == (8, 4)
         sites = []
         projection = engine._projection
 
@@ -527,8 +619,47 @@ class TestSaturatedTail:
             return projection(left, right, i, m, shape)
 
         monkeypatch.setattr(engine, "_projection", recorded)
-        sweep(state, target, 0)
-        assert sites == list(range(b)) + list(range(b - 2, -1, -1))
+        state, _, carry = sweep(state, target, 0)
+        assert sites == list(range(b)) + list(range(b - 2, rest - 1, -1))
+        for k in (1, 2):
+            sites.clear()
+            state, _, carry = sweep(state, target, k, carry)
+            assert sites == list(range(rest + 1, b)) + list(range(b - 2, rest - 1, -1))
+            assert len(sites) == 2 * (b - 1 - rest)
+
+
+class TestSaturatedLeftEnd:
+    """Below rest = min(a, b-1), a the last bond at its left cap, no update can move the state."""
+
+    @pytest.mark.parametrize("n, d, chi", [
+        (1, 2, 1), (1, 3, 2), (5, 2, 1), (4, 3, 2), (6, 2, 4), (12, 2, 16), (7, 3, 9),
+        (5, 2, 4), (6, 2, 8), (3, 3, 9),
+    ])
+    @pytest.mark.parametrize("eps", [STALL_EPS, 1.1])
+    def test_repeated_rows_copy_the_record_before(self, monkeypatch, n, d, chi, eps):
+        # no projection norm exceeds 1, so eps = 1.1 stalls every update
+        monkeypatch.setattr(engine, "STALL_EPS", eps)
+        state = random_mps(n, d, chi, seed=n)
+        target = named_state(f"random:{n + 1}", n, d)
+        rest = rest_site(state)
+        state, records, carry = sweep(state, target, 0)
+        # L-half rows rest-1..0 of a fresh sweep repeat the row of L-half site rest
+        source = records[2 * n - 2 - rest]
+        assert (source.site, source.stalled) == (rest, eps > 1)
+        for rec in records[2 * n - 1 - rest:]:
+            assert (rec.overlap, rec.stalled) == (source.overlap, source.stalled)
+        assert carry.record == records[-1] and state.center == rest
+        for k in (1, 2):
+            before = records[-1]
+            state, records, carry = sweep(state, target, k, carry)
+            # R-half rows 0..rest of a carried sweep repeat the carry's record
+            assert [(r.site, r.direction) for r in records[:rest + 1]] == [
+                (i, "R") for i in range(rest + 1)
+            ]
+            assert [r.step for r in records] == list(range(k * (2 * n - 1), (k + 1) * (2 * n - 1)))
+            for rec in records[:rest + 1]:
+                assert (rec.sweep, rec.overlap, rec.stalled) == (k, before.overlap, before.stalled)
+            assert state.center == rest
 
 
 class TestSweepGaugeCheck:
@@ -558,19 +689,29 @@ class TestSweepGaugeCheck:
         n, d, chi = 6, 2, 2
         target = named_state("random:7", n, d)
         other_target = named_state("random:8", n, d)
-        state, _, carry = sweep(random_mps(n, d, chi, seed=1), target, 0)
+        start = random_mps(n, d, chi, seed=1)
+        state, _, carry = sweep(start, target, 0)
         _, _, other_carry = sweep(random_mps(n, d, chi, seed=2), target, 0)
+        assert state.center == 1
         calls = self.count_gauge_checks(monkeypatch)
+        # None: refused, as a state at center 1 without its own carry
         cases = [
-            ("no carry", (state, target, 1, None), 1),
-            ("foreign carry", (state, target, 1, other_carry), 1),
-            ("carry for another target", (state, other_target, 1, carry), 1),
-            ("new MPS object", (dataclasses.replace(state), target, 1, carry), 1),
+            ("no carry", (state, target, 1, None), None),
+            ("foreign carry", (state, target, 1, other_carry), None),
+            ("carry for another target", (state, other_target, 1, carry), None),
+            ("new MPS object", (dataclasses.replace(state), target, 1, carry), None),
+            ("center 0, no carry", (start, target, 1, None), 1),
+            ("center 0, foreign carry", (start, target, 1, carry), 1),
             ("own carry", (state, target, 1, carry), 0),
         ]
         for name, args, expected in cases:
             calls.clear()
-            sweep(*args)
+            if expected is None:
+                with pytest.raises(InputError, match="sweep requires center 0"):
+                    sweep(*args)
+                expected = 0
+            else:
+                sweep(*args)
             assert len(calls) == expected, name
 
     @pytest.mark.parametrize("site", [1, 3, 5])
@@ -587,14 +728,14 @@ class TestSweepGaugeCheck:
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     @pytest.mark.parametrize("chi", [1, 3, 16])
     def test_returned_cores_were_checked_when_made(self, monkeypatch, n, chi):
-        """Cores 1..b-1 of the returned state are the ones its L-half shifts checked.
+        """Cores rest+1..b-1 of the returned state are the ones its L-half shifts checked.
 
-        Cores b..n-1 are the input's own, which the fresh sweep that began
-        the carry chain checked.
+        Cores 0..rest-1 and b..n-1 are the input's own, which the fresh
+        sweep that began the carry chain made and checked, or checked whole.
         """
         target = named_state(f"random:{n + 1}", n, 2)
         state, _, carry = sweep(random_mps(n, 2, chi, seed=n), target, 0)
-        b = saturated_bond(state)
+        b, rest = saturated_bond(state), rest_site(state)
         sites, right_cores = [], []
         check_isometry, right_defect = engine.check_isometry, engine.right_defect
 
@@ -609,13 +750,13 @@ class TestSweepGaugeCheck:
         monkeypatch.setattr(engine, "check_isometry", recorded_check)
         monkeypatch.setattr(engine, "right_defect", recorded_defect)
         returned, _, _ = sweep(state, target, 1, carry)
-        assert len(sites) == 2 * b - 2
-        l_half = sites[b - 1:]
-        assert sorted(l_half) == list(range(1, b))
-        assert len(right_cores) == b - 1
+        assert len(sites) == 2 * (b - 1 - rest)
+        l_half = sites[b - 1 - rest:]
+        assert sorted(l_half) == list(range(rest + 1, b))
+        assert len(right_cores) == b - 1 - rest
         for site, core in zip(l_half, right_cores):
             assert returned.sites[site] is core, site
-        for site in range(b, n):
+        for site in [*range(rest), *range(b, n)]:
             assert returned.sites[site] is state.sites[site], site
 
 
@@ -672,6 +813,18 @@ class TestTrain:
             # the last recorded overlap is the final state's overlap with the target
             target = named_state("random:9", n, d)
             assert abs(traj[-1].overlap - overlap_dense(state, target)) <= 1e-12, (n, d)
+
+    @pytest.mark.parametrize("n, d, chi, rest", [
+        (1, 2, 1, 0), (5, 2, 1, 0), (6, 2, 4, 2), (12, 2, 16, 4), (6, 2, 8, 2), (7, 3, 9, 2),
+    ])
+    def test_final_center_is_rest(self, n, d, chi, rest):
+        """``train`` does not walk the center back to 0 after its last sweep."""
+        cfg = TrainConfig(n=n, d=d, chi=chi, seed=1, target="named:random:9",
+                          max_sweeps=3, tol=1e-30)
+        state, traj, _ = train(cfg)
+        assert state.center == rest_site(state) == rest
+        target = named_state("random:9", n, d)
+        assert abs(traj[-1].overlap - overlap_dense(state, target)) <= 1e-12
 
     def test_invalid_config_rejected_before_running(self):
         with pytest.raises(InputError):

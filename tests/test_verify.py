@@ -156,3 +156,16 @@ def test_saturated_tail_replays_clean(n, d, chi, target):
     dims = bond_dims(n, d, chi)
     assert min(j for j in range(1, n + 1) if dims[j] == d ** (n - j)) < n
     assert verify.oracle_check(TrainConfig(n=n, d=d, chi=chi, seed=0, target=target)) == []
+
+
+@pytest.mark.parametrize("n, d, chi, target", [
+    (6, 2, 1, "named:random:1"),  # a = 0: R-half site 0 of sweep 1 repeats
+    (8, 2, 4, "named:random:2"),  # a = 2, b = 6: the center rests at 2
+    (5, 2, 4, "named:random:3"),  # a = 2 >= b - 1: sweep 1 repeats every row
+    (4, 3, 9, "named:random:4"),  # a = 2 >= b - 1, d = 3
+    (1, 3, 2, "named:random:5"),
+    (6, 2, 4, "named:w"),
+])
+def test_saturated_left_end_replays_clean(n, d, chi, target):
+    # the oracle replays every row, including those repeated below rest = min(a, b-1)
+    assert verify.oracle_check(TrainConfig(n=n, d=d, chi=chi, seed=0, target=target)) == []
