@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -13,7 +14,7 @@ import time
 from .engine import MetricRecord, TrainConfig, train
 from .errors import InputError, SphereDMRGError
 from .mps import bond_dims, mps_to_json_dict
-from .target import ascii_float, ascii_int
+from .target import UNSIGNED_FLOAT, ascii_float, ascii_int
 from .verify import oracle_check
 
 CSV_HEADER = "step,sweep,site,direction,overlap,angle,distance,stalled"
@@ -51,6 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow writing into a non-empty output directory")
     p.add_argument("--oracle-check", action="store_true",
                    help="also run the dense-oracle equivalence check")
+    # argparse reads an argument that starts with "-" as an option unless it
+    # matches this pattern, whose default differs across Python versions and
+    # misses "-1e-3" and "-inf" on some; every negative ascii_float text is a
+    # value here, so --tol's range check names it
+    p._negative_number_matcher = re.compile(rf"-({UNSIGNED_FLOAT})\Z")
     return p
 
 

@@ -169,13 +169,13 @@ def compute_projection_tensor(state: MPS, target: DenseState) -> tuple[np.ndarra
     """
     check_dims(state, target)
     check_gauge(state)
-    n, c, m, t = state.n, state.center, state.n // 2, target.amplitudes
-    left = left_start(m, t)
+    n, c, m = state.n, state.center, state.n // 2
+    left = left_start(m, target)
     for i in range(c):
-        left = left_env(left, state.sites[i], i, m, t)
+        left = left_env(left, state.sites[i], i, m, target)
     right = np.ones((1, 1))
     for i in range(n - 1, c, -1):
-        right = right_env(right, state.sites[i], i, m, t)
+        right = right_env(right, state.sites[i], i, m, target)
     return _projection(left, right, c, m, state.sites[c].shape)
 
 
@@ -260,7 +260,7 @@ def sweep(
     if not own and state.center != 0:
         raise InputError(f"sweep requires center 0, got {state.center}")
     check_dims(state, target)
-    n, d, m, t = state.n, state.d, state.n // 2, target.amplitudes
+    n, d, m = state.n, state.d, state.n // 2
     cores = list(state.sites)
     # a / b: the last bond at its left cap d**a, the first at its right cap
     # d**(n-b), bond n counting as 1
@@ -275,10 +275,10 @@ def sweep(
         start, last = rest, carry.record
     else:
         check_gauge(state)
-        left = [left_start(m, t)] + [None] * (n - 1)
+        left = [left_start(m, target)] + [None] * (n - 1)
         right = [None] * (n - 1) + [np.ones((1, 1))]
         for i in range(n - 1, 0, -1):
-            right[i - 1] = right_env(right[i], cores[i], i, m, t)
+            right[i - 1] = right_env(right[i], cores[i], i, m, target)
         start, last = -1, None
     schedule = sweep_schedule(n)
     first = sweep_index * len(schedule)
@@ -295,12 +295,12 @@ def sweep(
             core, factor = split_core(cores[site - 1], "right")
             cores[site - 1] = core
             check_isometry(left_defect(core), site - 1)
-            left[site] = left_env(left[site - 1], core, site - 1, m, t)
+            left[site] = left_env(left[site - 1], core, site - 1, m, target)
         elif direction == "L":
             core, factor = split_core(cores[site + 1], "left")
             cores[site + 1] = core
             check_isometry(right_defect(core), site + 1)
-            right[site] = right_env(right[site + 1], core, site + 1, m, t)
+            right[site] = right_env(right[site + 1], core, site + 1, m, target)
         coeffs, norm = _projection(left[site], right[site], site, m, cores[site].shape)
         if norm <= STALL_EPS and factor is not None:
             side = "right" if direction == "R" else "left"

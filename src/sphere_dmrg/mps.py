@@ -23,11 +23,20 @@ m = n // 2. The left environment of site i is the dense block of the cores
 0..i-1, shape (d**i, chi), while i < m, and the target folded through
 them, shape (chi, d**(n-i)), once i >= m. The right environment mirrors
 this: the dense block of the cores i+1..n-1 while i >= m, the folded
-target while i < m. Passing the middle bond is the one matmul that reads
+target while i < m. Passing the middle bond is the one product that reads
 the whole target; every other step is one small matmul through one core,
 so a fold holds O(chi * d**(ceil(n/2) + 1)) numbers besides the target.
 ``left_start``, ``left_env`` and ``right_env`` are these steps; the
 engine's sweep and ``overlap_dense`` are both built from them.
+
+The fold takes the target itself, not its array, and reads it only
+through ``DenseState``'s products: ``as_row`` for n = 1, ``row_fold``
+(block.T @ T) on the left crossing and ``column_fold`` (T @ block.T) on
+the right one. The column fold runs over cache-sized row slabs, because
+OpenBLAS packs the whole target for a product with only chi columns; the
+row fold stays one matmul, because summing its slabs' partial products
+costs more than the packing saves. ``DenseState``'s docstring has the
+measurements.
 """
 
 from __future__ import annotations
@@ -271,35 +280,39 @@ def dense_amplitudes(state: MPS) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def left_start(m: int, t: np.ndarray) -> np.ndarray:
+def left_start(m: int, target: DenseState) -> np.ndarray:
     """Left environment of site 0: the empty block, or for n = 1 the target."""
-    return np.ones((1, 1)) if m else t.reshape(1, -1)
+    return np.ones((1, 1)) if m else target.as_row()
 
 
-def left_env(env: np.ndarray, core: np.ndarray, i: int, m: int, t: np.ndarray) -> np.ndarray:
+def left_env(
+    env: np.ndarray, core: np.ndarray, i: int, m: int, target: DenseState
+) -> np.ndarray:
     """Left environment of site i + 1 from that of site i and the core at i.
 
-    Reaching site m folds the target through the dense block: the one
-    matmul over the whole target.
+    Reaching site m folds the target through the dense block: its row fold,
+    the one product over the whole target.
     """
     l, d, r = core.shape
     if i >= m:
         return core.reshape(l * d, r).T @ env.reshape(l * d, -1)
     block = (env @ core.reshape(l, d * r)).reshape(-1, r)
-    return block.T @ t.reshape(block.shape[0], -1) if i + 1 == m else block
+    return target.row_fold(block) if i + 1 == m else block
 
 
-def right_env(env: np.ndarray, core: np.ndarray, i: int, m: int, t: np.ndarray) -> np.ndarray:
+def right_env(
+    env: np.ndarray, core: np.ndarray, i: int, m: int, target: DenseState
+) -> np.ndarray:
     """Right environment of site i - 1 from that of site i and the core at i.
 
-    Reaching site m - 1 folds the target through the dense block: the one
-    matmul over the whole target.
+    Reaching site m - 1 folds the target through the dense block: its
+    column fold, the one product over the whole target.
     """
     l, d, r = core.shape
     if i < m:
         return env.reshape(-1, d * r) @ core.reshape(l, d * r).T
     block = (core.reshape(l * d, r) @ env).reshape(l, -1)
-    return t.reshape(-1, block.shape[1]) @ block.T if i == m else block
+    return target.column_fold(block) if i == m else block
 
 
 def overlap_dense(state: MPS, target: DenseState) -> float:
@@ -309,10 +322,10 @@ def overlap_dense(state: MPS, target: DenseState) -> float:
     target's size; the gauge of ``state`` does not matter.
     """
     check_dims(state, target)
-    m, t = state.n // 2, target.amplitudes
-    env = left_start(m, t)
+    m = state.n // 2
+    env = left_start(m, target)
     for i, core in enumerate(state.sites):
-        env = left_env(env, core, i, m, t)
+        env = left_env(env, core, i, m, target)
     return float(env[0, 0])
 
 

@@ -35,9 +35,31 @@ def check_dense_guard(n: int, d: int) -> None:
         )
 
 
+#: target bytes per row slab of ``DenseState.column_fold``
+SLAB_BYTES = 1 << 18
+
+
 @dataclass(frozen=True)
 class DenseState:
-    """Explicit length d**n amplitude vector with unit norm."""
+    """Explicit length d**n amplitude vector with unit norm.
+
+    The MPS fold (``mps.left_start``, ``left_env``, ``right_env``) reads the
+    target only through three products: ``as_row`` for n = 1, ``row_fold``
+    and ``column_fold`` where the fold crosses the middle bond. These two
+    are the only steps that read the whole vector.
+
+    ``column_fold`` is T @ block.T with a block of only chi rows. As one
+    product, OpenBLAS packs all of T before its kernel runs, and the fold
+    took 2.4 to 4 times one streaming read of T at n = 20-22, chi = 8-16.
+    Split into a stack of row slabs of about ``SLAB_BYTES`` each, every
+    product is small enough for OpenBLAS's small-matrix path, and the fold
+    took 17-39% less time at n = 18-22. The slab count is a power of d, so
+    it divides the d**m rows; a target of one slab or less takes the single
+    product. ``row_fold`` stays one matmul: its slabs would each give a
+    whole (chi, cols) partial product, and summing them needs a temporary
+    that grows with the slab count (32 MiB at n = 22, chi = 16), which made
+    that fold 2.2 times slower there and 2.6 times at n = 24, chi = 8.
+    """
 
     n: int
     d: int
@@ -57,6 +79,29 @@ class DenseState:
             raise InputError("amplitudes must be finite (found NaN or Inf)")
         if abs(norm - 1.0) > 1e-12:
             raise InputError(f"amplitudes have norm {norm!r}, expected 1")
+
+    def as_row(self) -> np.ndarray:
+        """The amplitudes as one (1, d**n) row, the fold's start when n = 1."""
+        return self.amplitudes.reshape(1, -1)
+
+    def row_fold(self, block: np.ndarray) -> np.ndarray:
+        """block.T @ T, where T is the amplitudes read with ``len(block)`` rows."""
+        return block.T @ self.amplitudes.reshape(block.shape[0], -1)
+
+    def column_fold(self, block: np.ndarray) -> np.ndarray:
+        """T @ block.T, where T is the amplitudes read with ``block.shape[1]`` columns.
+
+        Computed over row slabs of at most ``SLAB_BYTES`` each, as far as the
+        rows allow (see the class docstring).
+        """
+        t, cols = self.amplitudes, block.shape[1]
+        rows = t.size // cols
+        slabs = 1
+        while t.nbytes > slabs * SLAB_BYTES and slabs < rows:
+            slabs *= self.d
+        if slabs == 1:
+            return t.reshape(-1, cols) @ block.T
+        return np.matmul(t.reshape(slabs, rows // slabs, cols), block.T).reshape(rows, -1)
 
 
 def _digit_indices(keys: Collection[str], n: int, d: int) -> np.ndarray:
@@ -133,6 +178,10 @@ def ascii_int(text: str) -> int:
         raise ValueError(f"integer of {len(text)} digits is too long") from None
 
 
+#: the text ``ascii_float`` reads, after its optional sign
+UNSIGNED_FLOAT = r"([0-9]+(\.[0-9]+)?|\.[0-9]+)([eE][-+]?[0-9]+)?|(?i:inf|infinity|nan)"
+
+
 def ascii_float(text: str) -> float:
     """The float of ASCII ``[-+]?(digits[.digits]|.digits)([eE][-+]?digits)?`` text.
 
@@ -140,8 +189,7 @@ def ascii_float(text: str) -> float:
     as float does, so a range check downstream can name them. Anything else,
     such as "1_0e-3", " 1e-3 " or "٣", raises ValueError.
     """
-    number = r"[-+]?([0-9]+(\.[0-9]+)?|\.[0-9]+)([eE][-+]?[0-9]+)?"
-    if re.fullmatch(rf"{number}|[-+]?(?i:inf|infinity|nan)", text) is None:
+    if re.fullmatch(rf"[-+]?({UNSIGNED_FLOAT})", text) is None:
         raise ValueError(f"{text!r} is not a number")
     return float(text)
 

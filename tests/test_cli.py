@@ -210,6 +210,8 @@ class TestRunCommand:
         (["--bond-dim", "0"], "got --bond-dim=0"),
         (["--max-sweeps", "0"], "got --max-sweeps=0"),
         (["--tol", "inf"], "got --tol=inf"),
+        (["--tol", "-1e-3"], "tol must be finite and > 0, got --tol=-0.001"),
+        (["--tol", "-inf"], "tol must be finite and > 0, got --tol=-inf"),
     ])
     def test_invalid_input_exit_2(self, tmp_path, capsys, extra, fragment):
         (tmp_path / "counts.json").write_text(

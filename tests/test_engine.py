@@ -464,13 +464,13 @@ class TestSweepCarry:
     @staticmethod
     def environments(state, target):
         """The left environments of sites 0..c and right ones of c..n-1, built from the ends."""
-        n, c, m, t = state.n, state.center, state.n // 2, target.amplitudes
-        left = [mps.left_start(m, t)]
+        n, c, m = state.n, state.center, state.n // 2
+        left = [mps.left_start(m, target)]
         for i in range(c):
-            left.append(mps.left_env(left[-1], state.sites[i], i, m, t))
+            left.append(mps.left_env(left[-1], state.sites[i], i, m, target))
         right = [np.ones((1, 1))]
         for i in range(n - 1, c, -1):
-            right.insert(0, mps.right_env(right[0], state.sites[i], i, m, t))
+            right.insert(0, mps.right_env(right[0], state.sites[i], i, m, target))
         return left, right
 
     def test_carried_sweep_matches_fresh(self):
@@ -516,24 +516,30 @@ class TestSweepCarry:
 
     @staticmethod
     def count_crossings(monkeypatch):
-        """Middle-bond crossings per ``engine.sweep`` call, one list entry per sweep."""
+        """Middle-bond crossings per ``engine.sweep`` call, one list entry per sweep.
+
+        A crossing is one call of the target's row or column fold, the two
+        products that read the whole target.
+        """
         crossings = []
-        left_env, right_env, sweep_fn = engine.left_env, engine.right_env, engine.sweep
+        row_fold, column_fold, sweep_fn = (
+            DenseState.row_fold, DenseState.column_fold, engine.sweep,
+        )
 
-        def counted_left(env, core, i, m, t):
-            crossings[-1] += i + 1 == m
-            return left_env(env, core, i, m, t)
+        def counted_row_fold(self, block):
+            crossings[-1] += 1
+            return row_fold(self, block)
 
-        def counted_right(env, core, i, m, t):
-            crossings[-1] += i == m
-            return right_env(env, core, i, m, t)
+        def counted_column_fold(self, block):
+            crossings[-1] += 1
+            return column_fold(self, block)
 
         def counted_sweep(*args, **kwargs):
             crossings.append(0)
             return sweep_fn(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "left_env", counted_left)
-        monkeypatch.setattr(engine, "right_env", counted_right)
+        monkeypatch.setattr(DenseState, "row_fold", counted_row_fold)
+        monkeypatch.setattr(DenseState, "column_fold", counted_column_fold)
         monkeypatch.setattr(engine, "sweep", counted_sweep)
         return crossings
 

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sphere_dmrg import target as target_module
 from sphere_dmrg.errors import InputError
 from sphere_dmrg.target import (
+    SLAB_BYTES,
     DenseState,
     load_target_file,
     named_state,
@@ -31,6 +33,72 @@ class TestDenseState:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(InputError):
             DenseState(n=1, d=2, amplitudes=np.array([1.0, bad]))
+
+
+class TestFoldProducts:
+    """The three products through which the MPS fold reads a target."""
+
+    @staticmethod
+    def blocks(n, d, chi):
+        """A target and the two dense blocks that meet it at the middle bond m = n // 2."""
+        m = n // 2
+        rng = np.random.default_rng(n * d + chi)
+        target = named_state(f"random:{n}", n, d)
+        # the left block is (d**m, chi), the right block (chi, d**(n-m))
+        return target, rng.standard_normal((d**m, chi)), rng.standard_normal((chi, d ** (n - m)))
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (5, 2), (12, 2), (15, 2), (4, 3), (9, 3)])
+    @pytest.mark.parametrize("chi", [1, 3, 8])
+    def test_one_slab_is_the_single_product_bit_for_bit(self, n, d, chi):
+        target, _, right = self.blocks(n, d, chi)
+        assert target.amplitudes.nbytes <= SLAB_BYTES
+        t = target.amplitudes
+        expected = t.reshape(-1, right.shape[1]) @ right.T
+        assert target.column_fold(right).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n, d", [(n, 2) for n in range(12, 21)] + [(11, 3), (12, 3)])
+    def test_many_slabs_agree_with_the_single_product(self, n, d):
+        target, _, right = self.blocks(n, d, 8)
+        t = target.amplitudes
+        expected = t.reshape(-1, right.shape[1]) @ right.T
+        got = target.column_fold(right)
+        assert got.shape == expected.shape and got.flags.c_contiguous
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n, d", [(5, 3), (6, 3), (4, 5), (7, 2)])
+    def test_every_slab_size_divides_the_rows(self, monkeypatch, n, d):
+        # slab budgets from one amplitude up to the whole target: the slab
+        # count stays a power of d, so the stack reshape never fails
+        target, _, right = self.blocks(n, d, 2)
+        expected = target.amplitudes.reshape(-1, right.shape[1]) @ right.T
+        for budget in range(8, target.amplitudes.nbytes + 8, 8):
+            monkeypatch.setattr(target_module, "SLAB_BYTES", budget)
+            got = target.column_fold(right)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), budget
+
+    def test_column_fold_builds_no_slab_stack(self):
+        target, _, right = self.blocks(18, 2, 8)
+        tracemalloc.start()
+        try:
+            out = target.column_fold(right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the product itself, plus bookkeeping
+        assert peak < 2 * out.nbytes
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (8, 2), (18, 2), (20, 2), (7, 3), (12, 3)])
+    def test_row_fold_is_the_single_product_bit_for_bit(self, n, d):
+        target, left, _ = self.blocks(n, d, 8)
+        expected = left.T @ target.amplitudes.reshape(left.shape[0], -1)
+        assert target.row_fold(left).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_n1_start_is_the_target_as_one_row(self, d):
+        target = named_state("random:1", 1, d)
+        row = target.as_row()
+        assert row.shape == (1, d)
+        assert row.tobytes() == target.amplitudes.reshape(1, -1).tobytes()
 
 
 class TestStateFromCounts:
