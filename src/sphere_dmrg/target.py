@@ -54,11 +54,12 @@ class DenseState:
     Split into a stack of row slabs of about ``SLAB_BYTES`` each, every
     product is small enough for OpenBLAS's small-matrix path, and the fold
     took 17-39% less time at n = 18-22. The slab count is a power of d, so
-    it divides the d**m rows; a target of one slab or less takes the single
-    product. ``row_fold`` stays one matmul: its slabs would each give a
-    whole (chi, cols) partial product, and summing them needs a temporary
-    that grows with the slab count (32 MiB at n = 22, chi = 16), which made
-    that fold 2.2 times slower there and 2.6 times at n = 24, chi = 8.
+    it divides the d**m rows; a target of one slab or less is a stack of
+    one, which gives the single product's bytes. ``row_fold`` stays one
+    matmul: its slabs would each give a whole (chi, cols) partial product,
+    and summing them needs a temporary that grows with the slab count
+    (32 MiB at n = 22, chi = 16), which made that fold 2.2 times slower
+    there and 2.6 times at n = 24, chi = 8.
     """
 
     n: int
@@ -99,8 +100,6 @@ class DenseState:
         slabs = 1
         while t.nbytes > slabs * SLAB_BYTES and slabs < rows:
             slabs *= self.d
-        if slabs == 1:
-            return t.reshape(-1, cols) @ block.T
         return np.matmul(t.reshape(slabs, rows // slabs, cols), block.T).reshape(rows, -1)
 
 
