@@ -13,7 +13,7 @@ factor (``split_core``). Where the core's matrix is square, the bond is
 saturated at its ``bond_dims`` cap and the identity already spans the whole
 space, so the split is the identity and the core itself, exact and with no
 QR; on the chain's saturated ends that skips the QR of every shift. Any
-other core takes one sign-fixed QR (``qr_orthonormalize``), which serves
+other core takes one plain QR (``qr_orthonormalize``), which serves
 every non-square split; the shape-checked ``contract`` serves only dense
 conversion. Cores are float64 numpy arrays in no fixed memory order: a
 non-square left split returns the view ``q.T.reshape(...)``, not C-contiguous.
@@ -158,14 +158,16 @@ def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
 
 
 def qr_orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR with the diagonal of R forced non-negative, no rank check.
+    """numpy's thin QR of a matrix with rows >= cols, no rank check.
 
-    Returns (q, t) with q.T @ q = I, q @ t = m, and t upper-triangular
-    with non-negative diagonal, so the factorization is unique for full
-    rank input and bit-stable for identical input. Householder QR keeps
-    q orthonormal when ``m`` is rank-deficient, which is what a gauge
-    shift needs: a bond wider than the state's Schmidt rank is redundant,
-    not invalid.
+    Returns (q, t) with q.T @ q = I, q @ t = m and t upper-triangular,
+    bit-stable for identical input. The signs of t's diagonal are
+    LAPACK's: a thin QR is unique only up to them, as an MPS is only up
+    to its gauge, and no record reads them. Householder QR keeps q
+    orthonormal when ``m`` is rank-deficient, which is what a gauge shift
+    needs: a bond wider than the state's Schmidt rank is redundant, not
+    invalid. A matrix that is not 2-D, or has fewer rows than columns, is
+    refused.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -173,11 +175,7 @@ def qr_orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r, c = m.shape
     if r < c:
         raise ContractShapeError(f"need rows >= cols, got shape {m.shape}")
-    q, t = np.linalg.qr(m)
-    signs = np.where(t.diagonal() < 0.0, -1.0, 1.0)
-    q *= signs
-    t *= signs[:, None]
-    return q, t
+    return np.linalg.qr(m)
 
 
 def split_core(core: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +191,7 @@ def split_core(core: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray
     means the bond is saturated at its ``bond_dims`` cap. The identity is
     then an orthonormal basis of the whole space, so q is the identity and
     t is the core itself: exact, with isometry defect 0, whatever the
-    core's rank. Any other core is split by the sign-fixed QR, which is not
+    core's rank. Any other core is split by numpy's QR, which is not
     rank-checked: when the state's Schmidt rank at the bond is below the
     bond dimension, q is still an isometry and the split is still exact.
     """

@@ -55,11 +55,25 @@ class DenseState:
     product is small enough for OpenBLAS's small-matrix path, and the fold
     took 17-39% less time at n = 18-22. The slab count is a power of d, so
     it divides the d**m rows; a target of one slab or less is a stack of
-    one, which gives the single product's bytes. ``row_fold`` stays one
-    matmul: its slabs would each give a whole (chi, cols) partial product,
-    and summing them needs a temporary that grows with the slab count
-    (32 MiB at n = 22, chi = 16), which made that fold 2.2 times slower
-    there and 2.6 times at n = 24, chi = 8.
+    one, which gives the single product's bytes. Slabs lose to the single
+    product when the block is wide or the slabs are thin, so
+    ``fold_slabs`` keeps them only where chi <= 16 and each slab has at
+    least chi / 2 rows. Measured on the fold alone at ``SLAB_BYTES`` =
+    256 KiB (one BLAS thread, OpenBLAS 0.3.31 Haswell kernels), slab time
+    over single-product time, at d = 2 (n 17-25), d = 3 (n 11-16), d = 4
+    (n 9-11) and d = 5 (n 7-9), chi 4-64:
+    - where the rule slabs, 0.37-0.97, except for 1.01-1.07 on targets
+      under 1.5 MB (at most 2.5 us) and 1.04 at d = 3, n = 13, chi = 16,
+      which read 1.00 when measured again;
+    - where it does not, slabs read 1.02-4.5 at chi >= 32, 1.16 at n = 18,
+      chi = 20-24, and 1.06-1.18 at chi = 16 with 3-5 rows per slab. The
+      rule gives up wins at chi = 20-24 from n = 20 on (0.68-0.86) and at
+      some thin slabs with chi <= 16 (0.73-0.89).
+    Outside that range of (d, chi) the rule is unmeasured. ``row_fold``
+    stays one matmul: its slabs would each give a whole (chi, cols)
+    partial product, and summing them needs a temporary that grows with
+    the slab count (32 MiB at n = 22, chi = 16), which made that fold 2.2
+    times slower there and 2.6 times at n = 24, chi = 8.
     """
 
     n: int
@@ -92,15 +106,26 @@ class DenseState:
     def column_fold(self, block: np.ndarray) -> np.ndarray:
         """T @ block.T, where T is the amplitudes read with ``block.shape[1]`` columns.
 
-        Computed over row slabs of at most ``SLAB_BYTES`` each, as far as the
-        rows allow (see the class docstring).
+        Computed over the row slabs that ``fold_slabs`` picks (see the class
+        docstring).
         """
         t, cols = self.amplitudes, block.shape[1]
         rows = t.size // cols
-        slabs = 1
-        while t.nbytes > slabs * SLAB_BYTES and slabs < rows:
-            slabs *= self.d
+        slabs = fold_slabs(self.d, rows, cols, block.shape[0])
         return np.matmul(t.reshape(slabs, rows // slabs, cols), block.T).reshape(rows, -1)
+
+
+def fold_slabs(d: int, rows: int, cols: int, chi: int) -> int:
+    """Row slabs of a (rows, cols) target for ``DenseState.column_fold`` with a chi-row block.
+
+    The smallest power of d, at most ``rows``, that leaves each slab at most
+    ``SLAB_BYTES``; or 1, the single product, where chi > 16 or a slab has
+    fewer than chi / 2 rows.
+    """
+    slabs = 1
+    while rows * cols * 8 > slabs * SLAB_BYTES and slabs < rows:
+        slabs *= d
+    return slabs if chi <= 16 and chi <= 2 * (rows // slabs) else 1
 
 
 def _digit_indices(keys: Collection[str], n: int, d: int) -> np.ndarray:

@@ -76,7 +76,7 @@ def shifted_by_formula(cores, j, direction):
     """The cores after one shift of the center from site j, written out.
 
     A square matrix moves as the identity and the core itself; any other
-    takes numpy's QR with the signs of R's diagonal made non-negative.
+    takes numpy's QR as it is.
     """
     cores = list(cores)
     l, d, r = cores[j].shape
@@ -86,9 +86,7 @@ def shifted_by_formula(cores, j, direction):
             cores[j] = np.eye(r).reshape(l, d, r)
         else:
             q, t = np.linalg.qr(cores[j].reshape(l * d, r))
-            signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
-            cores[j] = (q * signs).reshape(l, d, r)
-            t = t * signs[:, None]
+            cores[j] = q.reshape(l, d, r)
         nxt = cores[j + 1]
         cores[j + 1] = (t @ nxt.reshape(r, -1)).reshape(nxt.shape)
     else:
@@ -97,9 +95,8 @@ def shifted_by_formula(cores, j, direction):
             cores[j] = np.eye(l).reshape(l, d, r)
         else:
             q, t = np.linalg.qr(cores[j].reshape(l, d * r).T)
-            signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
-            cores[j] = (q * signs).T.reshape(l, d, r)
-            t_transposed = (t * signs[:, None]).T
+            cores[j] = q.T.reshape(l, d, r)
+            t_transposed = t.T
         prev = cores[j - 1]
         cores[j - 1] = (prev.reshape(-1, l) @ t_transposed).reshape(prev.shape)
     return cores
@@ -416,9 +413,13 @@ class TestContract:
 
 class TestQROrthonormalize:
     def test_single_column(self):
-        q, t = qr_orthonormalize(np.array([[3.0], [4.0]]))
-        np.testing.assert_allclose(q, [[0.6], [0.8]], atol=1e-15)
-        np.testing.assert_allclose(t, [[5.0]], atol=1e-15)
+        m = np.array([[3.0], [4.0]])
+        q, t = qr_orthonormalize(m)
+        # one column is fixed up to its sign, which is LAPACK's
+        sign = np.sign(t[0, 0])
+        np.testing.assert_allclose(sign * q, [[0.6], [0.8]], atol=1e-15)
+        np.testing.assert_allclose(sign * t, [[5.0]], atol=1e-15)
+        np.testing.assert_allclose(q @ t, m, atol=1e-15)
 
     def test_orthonormal_fixed_point(self):
         rng = np.random.default_rng(3)
@@ -433,7 +434,6 @@ class TestQROrthonormalize:
         q, t = qr_orthonormalize(m)
         np.testing.assert_allclose(q @ t, m, atol=1e-12)
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-12)
-        assert np.all(np.diagonal(t) >= 0)
         assert np.allclose(t, np.triu(t))
 
     def test_wide_matrix_rejected(self):
@@ -457,19 +457,10 @@ class TestQROrthonormalize:
         q, t = qr_orthonormalize(m)
         np.testing.assert_allclose(q @ t, m, atol=1e-12)
         np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-12)
-        assert np.all(np.diagonal(t) >= 0)
-
-    @staticmethod
-    def sign_fixed_by_formula(m):
-        """The sign fix written out with ``np.diagonal``, for byte comparison."""
-        q, t = np.linalg.qr(m)
-        signs = np.where(np.diagonal(t) < 0.0, -1.0, 1.0)
-        q *= signs
-        t *= signs[:, None]
-        return q, t
+        assert np.allclose(t, np.triu(t))
 
     @pytest.mark.parametrize("kind", ["random", "zero column", "equal columns", "all zero"])
-    def test_matches_sign_fix_formula_bytes(self, kind):
+    def test_matches_numpy_qr_bytes(self, kind):
         rng = np.random.default_rng(29)
         for rows in range(1, 33):
             for cols in sorted({1, min(2, rows), (rows + 1) // 2, rows}):
@@ -481,10 +472,112 @@ class TestQROrthonormalize:
                 elif kind == "all zero":
                     m[:] = 0.0
                 q, t = qr_orthonormalize(m)
-                q_ref, t_ref = self.sign_fixed_by_formula(m.copy())
+                q_ref, t_ref = np.linalg.qr(m.copy())
                 assert (q.tobytes(), t.tobytes()) == (q_ref.tobytes(), t_ref.tobytes()), (
                     kind, rows, cols,
                 )
+
+
+class TestQRSignInvariance:
+    """No record reads the signs of R's diagonal: a thin QR is unique only up to them."""
+
+    @staticmethod
+    def sign_flipped(monkeypatch, seed):
+        """Patch ``mps.qr_orthonormalize`` to negate a seeded random subset of
+        q's columns and the matching rows of t; return the list of flip counts."""
+        plain = mps.qr_orthonormalize
+        rng = np.random.default_rng(seed)
+        flips = []
+
+        def flipped(m):
+            q, t = plain(m)
+            signs = np.where(rng.random(q.shape[1]) < 0.5, -1.0, 1.0)
+            q *= signs
+            t *= signs[:, None]
+            flips.append(int((signs < 0).sum()))
+            return q, t
+
+        monkeypatch.setattr(mps, "qr_orthonormalize", flipped)
+        return flips
+
+    @staticmethod
+    def fingerprint(state, records):
+        rows = [(r.step, r.sweep, r.site, r.direction, r.overlap.hex(), r.stalled) for r in records]
+        return rows, state.center, [np.abs(core) for core in state.sites]
+
+    def assert_same_run(self, plain, flipped):
+        rows, center, cores = plain
+        assert flipped[0] == rows
+        assert flipped[1] == center
+        assert len(flipped[2]) == len(cores)
+        for a, b in zip(flipped[2], cores):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def trained(self, monkeypatch, config, seed):
+        plain = self.fingerprint(*train(config)[:2])
+        flips = self.sign_flipped(monkeypatch, seed)
+        flipped = self.fingerprint(*train(config)[:2])
+        monkeypatch.undo()
+        return plain, flipped, flips
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_train_records_ignore_the_signs(self, monkeypatch, d):
+        # C1/C2-sized chains, with bonds below their cap (QR shifts), at
+        # it (square shifts) and both
+        flipped_any = 0
+        for n in range(1, 10):
+            for chi in (1, 2, 3, 4, 8, 16):
+                config = TrainConfig(
+                    n=n, d=d, chi=chi, seed=n + chi,
+                    target=f"named:random:{100 * n + chi}", max_sweeps=3, tol=1e-30,
+                )
+                plain, flipped, flips = self.trained(monkeypatch, config, seed=n * chi)
+                self.assert_same_run(plain, flipped)
+                flipped_any += sum(flips)
+        assert flipped_any > 0
+
+    @pytest.mark.parametrize("name", ["uniform", "ghz", "w", "basis:5"])
+    def test_low_rank_targets_ignore_the_signs(self, monkeypatch, name):
+        # Schmidt ranks below the bond cap: rank-deficient QRs
+        config = TrainConfig(n=7, d=2, chi=4, seed=1, target=f"named:{name}", max_sweeps=3)
+        plain, flipped, flips = self.trained(monkeypatch, config, seed=7)
+        self.assert_same_run(plain, flipped)
+        assert sum(flips) > 0
+
+    @pytest.mark.parametrize("n, d, chi", [(8, 2, 16), (5, 3, 9)])
+    def test_saturated_middle_bond_ignores_the_signs(self, monkeypatch, n, d, chi):
+        assert mps.bond_dims(n, d, chi)[n // 2] == d ** (n // 2)
+        config = TrainConfig(n=n, d=d, chi=chi, seed=2, target="named:random:3", max_sweeps=4)
+        plain, flipped, flips = self.trained(monkeypatch, config, seed=n)
+        self.assert_same_run(plain, flipped)
+        assert sum(flips) > 0
+
+    def test_stalled_rows_ignore_the_signs(self, monkeypatch):
+        # no projection norm exceeds 1, so every update stalls and each
+        # shift's factor is multiplied into the next center
+        monkeypatch.setattr(engine, "STALL_EPS", 1.1)
+        config = TrainConfig(n=6, d=2, chi=3, seed=4, target="named:random:5", max_sweeps=3)
+        plain = self.fingerprint(*train(config)[:2])
+        flips = self.sign_flipped(monkeypatch, seed=6)
+        flipped = self.fingerprint(*train(config)[:2])
+        assert all(row[5] for row in plain[0])
+        self.assert_same_run(plain, flipped)
+        assert sum(flips) > 0
+
+    def test_all_stalled_sweep_ignores_the_signs(self, monkeypatch):
+        # |0...0> against a basis state with sites 0 and 1 set: every
+        # single-site subspace is orthogonal to the target
+        n = 8
+        zero = np.zeros((1, 2, 1))
+        zero[0, 0, 0] = 1.0
+        state = MPS(sites=(zero,) * n, center=0)
+        target = named_state(f"basis:{3 << (n - 2)}", n, 2)
+        plain = self.fingerprint(*engine.sweep(state, target, 0)[:2])
+        flips = self.sign_flipped(monkeypatch, seed=8)
+        flipped = self.fingerprint(*engine.sweep(state, target, 0)[:2])
+        assert all(row[5] and row[4] == (0.0).hex() for row in plain[0])
+        self.assert_same_run(plain, flipped)
+        assert sum(flips) > 0
 
 
 class TestDenseAmplitudes:
