@@ -24,8 +24,9 @@ first bond whose dimension is at its right cap d**(n-b) (see
 ``mps.bond_dims``; bond n counts as 1, so b <= n), a the last bond j >= 1
 at its left cap d**j (0 if there is none) and rest = min(a, b - 1).
 Updates run only at R-half sites start+1..b-1 and L-half sites b-2..rest,
-where start is -1 in a fresh sweep and rest in a carried one; every other
-row repeats the record before it, with its own step, site and direction.
+where start is -1 for a carry without a record (center 0) and rest for
+one with a record (center rest); every other row repeats the record
+before it, with its own step, site and direction.
 The state a sweep returns has its center at rest.
 
 Why the repeated rows are exact. Cores b..n-1 are square right isometries,
@@ -41,8 +42,8 @@ vector of (every state of sites 0..a) times the isometries right of a,
 which L-half sites a-1..0 and, in the next sweep, R-half sites 0..a cannot
 leave. A chain with a >= b - 1 spans the whole space at R-half site b-1,
 so its later sweeps make no update at all. Cores b..n-1 of the returned
-state are the input's own arrays and so are cores 0..rest-1 of a carried
-sweep's; their environments are carried untouched.
+state are the input's own arrays and so are cores 0..rest-1 when the
+carry has a record; their environments are carried untouched.
 
 An update whose projection norm is at or below ``STALL_EPS`` stalls: it
 keeps the state and records the overlap the state already has, which lies
@@ -57,15 +58,18 @@ the new center (``mps.absorb_factor``) only when the update stalls; the
 states and records are the same as with the eager walk of ``mps.gauge_to``.
 
 Every core a shift makes is checked for isometry right after the shift
-(``mps.check_isometry``). ``sweep`` checks the whole gauge
-(``mps.check_gauge``) only of a state that a sweep did not return itself,
-and such a state must have its center at 0. Handed back the carry of the
-state it returned, it skips that check: each non-center core of that state
-was made, and checked, by a shift of that sweep or of the fresh sweep that
-began the chain of carries, or is one of cores b..n-1, which that fresh
-sweep checked with the whole gauge; no sweep since wrote to any of them.
-Handing back a carry asserts that its state's cores are unchanged, which
-its environments assume anyway.
+(``mps.check_isometry``). A sweep starts from a ``SweepCarry``: the state
+and the target, the record before the sweep's first row, and the
+environments around the state's center. A carry without environments, such
+as ``SweepCarry(random_mps(...), target)`` or a state read back from a file,
+gets one whole-gauge check (``mps.check_gauge``), and its environments are
+folded from the chain ends (``_chain_end_environments``). The carry a sweep
+returns holds the environments it carried, so the next sweep skips both:
+each non-center core of its state was made, and checked, by a shift of
+that sweep or of an earlier one, or is one of cores b..n-1, which the
+first sweep checked with the whole gauge; no sweep since wrote to any of
+them. A carry with environments asserts that its state's cores are
+unchanged since they were checked, which the environments assume anyway.
 """
 
 from __future__ import annotations
@@ -159,24 +163,39 @@ def _projection(
     return coeffs, math.sqrt(flat @ flat)
 
 
+def _chain_end_environments(
+    state: MPS, target: DenseState
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The left environments of sites 0..c and the right ones of c..n-1, c the center.
+
+    Folds the target from the chain ends, the left side first, with the
+    steps that ``sweep`` carries along, so the environments equal a
+    carried sweep's bit for bit given the same cores. Reads the target at
+    most once: only the fold across the middle bond reads all of it.
+    """
+    n, c, m = state.n, state.center, state.n // 2
+    left = [left_start(m, target)]
+    for i in range(c):
+        left.append(left_env(left[i], state.sites[i], i, m, target))
+    right = [np.ones((1, 1))]
+    for i in range(n - 1, c, -1):
+        right.insert(0, right_env(right[0], state.sites[i], i, m, target))
+    return left, right
+
+
 def compute_projection_tensor(state: MPS, target: DenseState) -> tuple[np.ndarray, float]:
     """Contract the target against the frozen isometries around the center.
 
     Returns the projection coefficients and their norm, the pair that
-    ``_projection`` gives ``sweep``. Builds both environments from the
-    chain ends with the same steps that ``sweep`` carries along, reading
-    the target once.
+    ``_projection`` gives ``sweep``, from the environments of
+    ``_chain_end_environments``.
     """
     check_dims(state, target)
     check_gauge(state)
-    n, c, m = state.n, state.center, state.n // 2
-    left = left_start(m, target)
-    for i in range(c):
-        left = left_env(left, state.sites[i], i, m, target)
-    right = np.ones((1, 1))
-    for i in range(n - 1, c, -1):
-        right = right_env(right, state.sites[i], i, m, target)
-    return _projection(left, right, c, m, state.sites[c].shape)
+    left, right = _chain_end_environments(state, target)
+    return _projection(
+        left[-1], right[0], state.center, state.n // 2, state.sites[state.center].shape
+    )
 
 
 def _closest_point(
@@ -210,55 +229,47 @@ def optimal_update(state: MPS, target: DenseState) -> tuple[MPS, float, bool]:
 
 @dataclass(frozen=True)
 class SweepCarry:
-    """What a sweep leaves the next one: environments around the center, and a record.
+    """What a sweep starts from: a state, its target, a record and the environments.
 
-    ``left`` holds the left environments of sites 0..c and ``right`` the
-    right environments of sites c..n-1 of ``state`` against ``target``,
-    with c the center; ``record`` is the sweep's last record, which the
-    next sweep's R-half rows 0..c repeat. ``sweep`` returns one for the
-    state it returns; handed back with that very state and target, it
-    replaces the next sweep's opening right fold and its whole-gauge check.
-    Handing it back asserts that the cores of ``state`` are unchanged since
-    a sweep checked each one.
+    ``record`` is the record before the sweep's first row, ``None`` for
+    the first sweep of a run. A sweep with a record starts at rest and its
+    R-half rows 0..rest repeat that record; without one it starts at
+    center 0. ``left`` holds the left environments of sites 0..c and
+    ``right`` the right environments of sites c..n-1 of ``state`` against
+    ``target``, with c the center, or both are ``None``: the sweep then
+    checks the whole gauge once and folds them from the chain ends.
+    ``sweep`` returns a carry with both, for the state it returns.
     """
 
     state: MPS
     target: DenseState
-    left: tuple[np.ndarray, ...]
-    right: tuple[np.ndarray, ...]
-    record: MetricRecord
+    record: MetricRecord | None = None
+    left: tuple[np.ndarray, ...] | None = None
+    right: tuple[np.ndarray, ...] | None = None
 
 
-def sweep(
-    state: MPS,
-    target: DenseState,
-    sweep_index: int,
-    carry: SweepCarry | None = None,
-) -> tuple[MPS, list[MetricRecord], SweepCarry]:
+def sweep(carry: SweepCarry, sweep_index: int) -> tuple[list[MetricRecord], SweepCarry]:
     """One full sweep of ``optimal_update`` steps over ``sweep_schedule(n)``.
 
-    Emits 2n-1 records (1 for n=1) and returns the state with its center
-    at rest, together with the carry for the next sweep. Record k of the
-    sweep is step ``sweep_index * (2n-1) + k`` of the run. Updates run
-    only at R-half sites start+1..b-1 and L-half sites b-2..rest (the
-    window rule of the module docstring); every other row repeats the
-    overlap and stall of the record before it, which is what its update
-    would measure. ``carry`` is used only if its state and target are the
-    very objects passed here, as ``train`` passes them: start is then rest,
-    so R-half rows 0..rest repeat the carry's record, the sweep reads the
-    target at most twice and it skips the whole-gauge check, because each
-    core of that state was checked when it was made or taken unchanged
-    from a checked input. Otherwise the state must have its center at 0
-    (``InputError`` if not), start is -1, and the sweep checks the whole
-    gauge, folds the right environments from the chain end and reads the
-    target at most three times. After that only the isometry each gauge
-    shift produces can change, and it is checked right after its shift. A
-    shift keeps its gauge factor and applies it to the new center only when
-    the update there stalls (see the module docstring).
+    Emits 2n-1 records (1 for n=1) and returns them with the carry for the
+    next sweep, whose state has its center at rest. Record k of the sweep
+    is step ``sweep_index * (2n-1) + k`` of the run. Updates run only at
+    R-half sites start+1..b-1 and L-half sites b-2..rest (the window rule
+    of the module docstring); every other row repeats the overlap and
+    stall of the record before it, which is what its update would measure.
+    Without a record in ``carry``, start is -1 and the state must have its
+    center at 0; with one, start is rest, the center must be at rest and
+    R-half rows 0..rest repeat that record. Any other center is an
+    ``InputError``. A carry without environments gets one whole-gauge
+    check and the fold from the chain ends, so that sweep reads the target
+    at most three times; a carry with them, such as the one a sweep
+    returns, skips both, and the sweep reads the target at most twice.
+    After that only the isometry each gauge shift produces can change, and
+    it is checked right after its shift. A shift keeps its gauge factor
+    and applies it to the new center only when the update there stalls
+    (see the module docstring).
     """
-    own = carry is not None and carry.state is state and carry.target is target
-    if not own and state.center != 0:
-        raise InputError(f"sweep requires center 0, got {state.center}")
+    state, target, last = carry.state, carry.target, carry.record
     check_dims(state, target)
     n, d, m = state.n, state.d, state.n // 2
     cores = list(state.sites)
@@ -267,19 +278,18 @@ def sweep(
     a = max((j for j in range(1, n) if cores[j].shape[0] == d**j), default=0)
     b = next((j for j in range(1, n) if cores[j].shape[0] == d ** (n - j)), n)
     rest = min(a, b - 1)
-    # left[i] / right[i]: the environments of site i (see the mps module docstring)
-    if own:
-        # the sweeps that made state checked each of its isometries
-        left = list(carry.left) + [None] * (n - 1 - rest)
-        right = [None] * rest + list(carry.right)
-        start, last = rest, carry.record
-    else:
+    start = -1 if last is None else rest
+    if state.center != max(start, 0):
+        raise InputError(f"sweep requires center {max(start, 0)}, got {state.center}")
+    if carry.left is None:
         check_gauge(state)
-        left = [left_start(m, target)] + [None] * (n - 1)
-        right = [None] * (n - 1) + [np.ones((1, 1))]
-        for i in range(n - 1, 0, -1):
-            right[i - 1] = right_env(right[i], cores[i], i, m, target)
-        start, last = -1, None
+        left, right = _chain_end_environments(state, target)
+    else:
+        # the sweeps that made state checked each of its isometries
+        left, right = list(carry.left), list(carry.right)
+    # left[i] / right[i]: the environments of site i (see the mps module docstring)
+    left += [None] * (n - len(left))
+    right = [None] * (n - len(right)) + right
     schedule = sweep_schedule(n)
     first = sweep_index * len(schedule)
     records: list[MetricRecord] = []
@@ -309,32 +319,29 @@ def sweep(
         last = MetricRecord(k, sweep_index, site, direction, overlap, stalled)
         records.append(last)
     state = MPS(sites=tuple(cores), center=rest)
-    return state, records, SweepCarry(
-        state=state, target=target, left=tuple(left[:rest + 1]),
-        right=tuple(right[rest:]), record=last,
-    )
+    return records, SweepCarry(state, target, last, tuple(left[:rest + 1]), tuple(right[rest:]))
 
 
 def train(config: TrainConfig) -> tuple[MPS, list[MetricRecord], str]:
     """Run sweeps until the per-sweep overlap change drops below tol.
 
     Returns (final state, full trajectory, termination reason), where the
-    reason is "converged" or "sweep-limit". The final state has its center
-    where the last sweep left it, at rest (see the module docstring).
-    Deterministic in the config.
+    reason is "converged" or "sweep-limit". The first sweep starts from a
+    carry of the seeded random state alone; the final state is the last
+    carry's, with its center where the last sweep left it, at rest (see
+    the module docstring). Deterministic in the config.
     """
     target = resolve_target(config.target, config.n, config.d)
-    state = random_mps(config.n, config.d, config.chi, config.seed)
+    carry = SweepCarry(random_mps(config.n, config.d, config.chi, config.seed), target)
     trajectory: list[MetricRecord] = []
     reason = "sweep-limit"
     prev_last = None
-    carry = None
     for k in range(config.max_sweeps):
-        state, records, carry = sweep(state, target, k, carry)
+        records, carry = sweep(carry, k)
         trajectory.extend(records)
         last = records[-1].overlap
         if prev_last is not None and abs(last - prev_last) < config.tol:
             reason = "converged"
             break
         prev_last = last
-    return state, trajectory, reason
+    return carry.state, trajectory, reason

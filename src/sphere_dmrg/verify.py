@@ -8,6 +8,7 @@ import numpy as np
 
 from .engine import (
     STALL_EPS,
+    SweepCarry,
     TrainConfig,
     compute_projection_tensor,
     optimal_update,
@@ -25,8 +26,9 @@ STATE_TOL = 1e-10
 def oracle_check(config: TrainConfig) -> list[str]:
     """Compare two sweeps of the engine against a dense-oracle replay.
 
-    Runs ``sweep`` twice on the config's instance, the second time with
-    the carry the first one returned, as ``train`` does, then replays
+    Runs ``sweep`` twice on the config's instance, as ``train`` does: the
+    first time from a carry of the seeded random state alone, the second
+    from the carry the first one returned. Then it replays
     ``sweep_schedule`` twice with the dense oracle: at each center it
     builds the subspace basis, projects the target onto it and moves to
     the normalized projection. At every step it checks that the
@@ -38,8 +40,8 @@ def oracle_check(config: TrainConfig) -> list[str]:
     """
     target = resolve_target(config.target, config.n, config.d)
     state = random_mps(config.n, config.d, config.chi, config.seed)
-    swept, records, carry = sweep(state, target, 0)
-    swept, more, _ = sweep(swept, target, 1, carry)
+    records, carry = sweep(SweepCarry(state, target), 0)
+    more, carry = sweep(carry, 1)
     records += more
     schedule = sweep_schedule(config.n) * 2
     mismatches: list[str] = []
@@ -80,7 +82,7 @@ def oracle_check(config: TrainConfig) -> list[str]:
                 f"{record.overlap!r}, oracle projection norm {overlap!r}"
             )
     err = float(np.max(np.abs(
-        dense_amplitudes(swept) - dense_amplitudes(state)
+        dense_amplitudes(carry.state) - dense_amplitudes(state)
     )))
     if not err <= STATE_TOL:
         mismatches.append(

@@ -23,7 +23,7 @@ from sphere_dmrg.mps import (
     random_mps,
 )
 from sphere_dmrg.oracle import project_onto_subspace_dense, subspace_basis_dense
-from sphere_dmrg.target import DenseState, named_state, resolve_target
+from sphere_dmrg.target import DenseState, fold_slabs, named_state, resolve_target
 from sphere_dmrg.verify import oracle_check
 
 OVERLAP_SLACK = 1e-12
@@ -254,16 +254,21 @@ def test_c6_gauge_noop_suite():
 
 
 def test_c7_cli_determinism(tmp_path):
-    args = [
-        "--sites", "4", "--bond-dim", "2", "--seed", "3",
-        "--target", "named:random:11", "--max-sweeps", "5",
-    ]
-    assert main(args + ["--out", str(tmp_path / "a")]) == 0
-    assert main(args + ["--out", str(tmp_path / "b")]) == 0
-    csv_a = (tmp_path / "a" / "trajectory.csv").read_bytes()
-    csv_b = (tmp_path / "b" / "trajectory.csv").read_bytes()
-    assert csv_a == csv_b
-    report("C7 CLI determinism: byte-identical trajectory.csv")
+    # n = 4 is one slab of the column fold; n = 16 is a 512 KiB target,
+    # whose middle-bond column fold at chi = 8 runs in two row slabs
+    assert fold_slabs(2, 2**8, 2**8, 8) == 2
+    for n, chi, sweeps in (("4", "2", "5"), ("16", "8", "4")):
+        args = [
+            "--sites", n, "--bond-dim", chi, "--seed", "3",
+            "--target", "named:random:11", "--max-sweeps", sweeps,
+        ]
+        assert main(args + ["--out", str(tmp_path / n / "a")]) == 0
+        assert main(args + ["--out", str(tmp_path / n / "b")]) == 0
+        for name in ("trajectory.csv", "final_mps.json"):
+            a = (tmp_path / n / "a" / name).read_bytes()
+            b = (tmp_path / n / "b" / name).read_bytes()
+            assert a == b, (n, name)
+    report("C7 CLI determinism: byte-identical trajectory.csv and final_mps.json, n=4 and n=16")
 
 
 def test_c8_desk_scale_performance():

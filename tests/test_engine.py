@@ -10,6 +10,7 @@ from sphere_dmrg import engine, mps
 from sphere_dmrg.engine import (
     STALL_EPS,
     MetricRecord,
+    SweepCarry,
     TrainConfig,
     compute_projection_tensor,
     optimal_update,
@@ -64,8 +65,8 @@ def updated_rows(state, carried):
     """(site, direction) of each update one sweep of ``state`` makes.
 
     R-half sites start+1..b-1, then L-half sites b-2..rest, where start is
-    rest for a sweep handed its own carry and -1 for a fresh one; every
-    other row of the schedule repeats the record before it.
+    rest for a sweep whose carry has a record and -1 for one without;
+    every other row of the schedule repeats the record before it.
     """
     b, rest = saturated_bond(state), rest_site(state)
     start = rest if carried else -1
@@ -208,15 +209,15 @@ class TestSweep:
         state = random_mps(4, 2, 2, seed=41)
         target = DenseState(4, 2, dense_amplitudes(state))
         before = target.amplitudes
-        new_state, records, _ = sweep(state, target, 0)
+        records, carry = sweep(SweepCarry(state, target), 0)
         for rec in records:
             assert abs(rec.overlap - 1.0) < 1e-10
-        assert np.linalg.norm(dense_amplitudes(new_state) - before) < 1e-10
+        assert np.linalg.norm(dense_amplitudes(carry.state) - before) < 1e-10
 
     def test_schedule_and_record_count(self):
         state = random_mps(4, 2, 2, seed=42)
         target = named_state("random:43", 4, 2)
-        _, records, _ = sweep(state, target, 3)
+        records, _ = sweep(SweepCarry(state, target), 3)
         assert len(records) == 7
         assert [r.site for r in records] == [0, 1, 2, 3, 2, 1, 0]
         assert [r.direction for r in records] == ["R"] * 4 + ["L"] * 3
@@ -227,19 +228,19 @@ class TestSweep:
     def test_single_site_chain(self):
         state = random_mps(1, 2, 1, seed=1)
         target = named_state("random:2", 1, 2)
-        _, records, _ = sweep(state, target, 0)
+        records, _ = sweep(SweepCarry(state, target), 0)
         assert len(records) == 1
 
     def test_requires_center_zero(self):
         state = gauge_to(random_mps(3, 2, 2, seed=0), 1)
         with pytest.raises(InputError, match=r"^sweep requires center 0, got 1$"):
-            sweep(state, named_state("uniform", 3, 2), 0)
+            sweep(SweepCarry(state, named_state("uniform", 3, 2)), 0)
 
     def test_monotone_overlap(self):
         for seed in range(5):
             state = random_mps(5, 2, 2, seed=seed)
             target = named_state(f"random:{seed + 300}", 5, 2)
-            _, records, _ = sweep(state, target, 0)
+            records, _ = sweep(SweepCarry(state, target), 0)
             for a, b in zip(records, records[1:]):
                 if not (a.stalled or b.stalled):
                     assert b.overlap >= a.overlap - 1e-12
@@ -257,11 +258,12 @@ class TestSweepFold:
         for n, d, chi in itertools.product(range(1, 10), (2, 3), (1, 2, 3, 16)):
             start = random_mps(n, d, chi, seed=n + chi)
             target = named_state(f"random:{100 + n}", n, d)
-            state, replay, carry, prev = start, start, None, None
+            state, replay, carry, prev = start, start, SweepCarry(start, target), None
             schedule = sweep_schedule(n)
             for k in range(2):
                 updated = updated_rows(state, carried=k > 0)
-                state, records, carry = sweep(state, target, k, carry)
+                records, carry = sweep(carry, k)
+                state = carry.state
                 assert len(records) == len(schedule)
                 for j, (rec, (site, direction)) in enumerate(zip(records, schedule)):
                     assert (rec.step, rec.sweep, rec.site, rec.direction) == (
@@ -290,7 +292,7 @@ class TestSweepFold:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            _, records, _ = sweep(state, target, 0)
+            records, _ = sweep(SweepCarry(state, target), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -321,11 +323,11 @@ class TestSweepFold:
         sites[2] = sites[2] * 2.0
         broken = dataclasses.replace(state, sites=tuple(sites))
         with pytest.raises(GaugeError):
-            sweep(broken, named_state("uniform", 4, 2), 0)
+            sweep(SweepCarry(broken, named_state("uniform", 4, 2)), 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            sweep(random_mps(3, 2, 2, seed=0), named_state("uniform", 4, 2), 0)
+            sweep(SweepCarry(random_mps(3, 2, 2, seed=0), named_state("uniform", 4, 2)), 0)
 
 
 class TestSweepGaugeFactor:
@@ -343,10 +345,11 @@ class TestSweepGaugeFactor:
             # factor is not the identity
             monkeypatch.setattr(engine, "STALL_EPS", eps)
             state = replay = random_mps(n, d, chi, seed=n + chi)
-            carry = None
+            carry = SweepCarry(state, target)
             for k in range(2):
                 updated = updated_rows(state, carried=k > 0)
-                state, records, carry = sweep(state, target, k, carry)
+                records, carry = sweep(carry, k)
+                state = carry.state
                 assert len(records) == len(schedule)
                 for j, (rec, row) in enumerate(zip(records, schedule)):
                     if row not in updated:
@@ -386,9 +389,10 @@ class TestSweepGaugeFactor:
     def non_square_shifts(state, carried):
         """Shifts of one sweep out of a core whose matrix is not square.
 
-        The shift before each update of ``updated_rows`` but a fresh sweep's
-        first: an R-half update at site i shifts out of site i-1, read as an
-        (l*d, r) matrix, an L-half one out of site i+1, read as (l, d*r).
+        The shift before each update of ``updated_rows`` but the first of a
+        sweep without a record: an R-half update at site i shifts out of site
+        i-1, read as an (l*d, r) matrix, an L-half one out of site i+1, read
+        as (l, d*r).
         Shifts keep the core shapes, so the state's shapes decide every shift.
         """
         shapes = [core.shape for core in state.sites]
@@ -415,11 +419,11 @@ class TestSweepGaugeFactor:
             # rest = 4, b = 8: a carried sweep shifts out of 4..6 and 7..5
             assert self.non_square_shifts(state, carried=True) == 6
         calls = self.wrap_qr(monkeypatch)
-        carry = None
+        carry = SweepCarry(state, target)
         for k in range(3):
-            expected = self.non_square_shifts(state, carried=k > 0)
+            expected = self.non_square_shifts(carry.state, carried=k > 0)
             calls.clear()
-            state, _, carry = sweep(state, target, k, carry)
+            _, carry = sweep(carry, k)
             assert len(calls) == expected, k
 
     def test_failed_right_shift_names_its_site(self, monkeypatch):
@@ -428,7 +432,7 @@ class TestSweepGaugeFactor:
         # the core at site 0 is (1, 2, 2), square; the first QR leaves site 1
         self.wrap_qr(monkeypatch, doubled_from=1)
         with pytest.raises(GaugeError, match=r"^isometry defect \S+ at site 1 exceeds 1e-08$"):
-            sweep(state, target, 0)
+            sweep(SweepCarry(state, target), 0)
 
     def test_failed_left_shift_names_its_site(self, monkeypatch):
         # (n, chi) = (4, 2) ends the R half after one QR (site 1), and so
@@ -447,19 +451,23 @@ class TestSweepGaugeFactor:
             self.wrap_qr(monkeypatch, doubled_from=r_half_qrs + 1)
             message = rf"^isometry defect \S+ at site {b - 1} exceeds 1e-08$"
             with pytest.raises(GaugeError, match=message):
-                sweep(state, target, 0)
+                sweep(SweepCarry(state, target), 0)
             monkeypatch.undo()
 
 
 def assert_same_sweep(a, b):
     """Two ``sweep`` results have bit-equal records and final cores."""
-    (state_a, records_a, _), (state_b, records_b, _) = a, b
+    (records_a, carry_a), (records_b, carry_b) = a, b
     assert records_a == records_b
-    assert [c.tobytes() for c in state_a.sites] == [c.tobytes() for c in state_b.sites]
+    assert [c.tobytes() for c in carry_a.state.sites] == [
+        c.tobytes() for c in carry_b.state.sites
+    ]
 
 
 class TestSweepCarry:
-    """``sweep`` reuses the environments and the last record of the state it returned."""
+    """``sweep`` reuses the environments and the last record of the carry it returned."""
+
+    GRID = list(itertools.product(range(1, 10), (2, 3), (1, 2, 3, 16)))
 
     @staticmethod
     def environments(state, target):
@@ -474,45 +482,53 @@ class TestSweepCarry:
         return left, right
 
     def test_carried_sweep_matches_fresh(self):
-        for n, d, chi in itertools.product(range(1, 10), (2, 3), (1, 2, 3, 16)):
+        for n, d, chi in self.GRID:
             target = named_state(f"random:{100 + n}", n, d)
-            state, _, carry = sweep(random_mps(n, d, chi, seed=n + chi), target, 0)
-            carried = sweep(state, target, 1, carry)
-            for returned, _, new_carry in ((state, None, carry), carried):
+            first = sweep(SweepCarry(random_mps(n, d, chi, seed=n + chi), target), 0)
+            state = first[1].state
+            carried = sweep(first[1], 1)
+            for _, new_carry in (first, carried):
                 # each carry holds the environments of its own state, bit for bit
-                left, right = self.environments(returned, target)
+                left, right = self.environments(new_carry.state, target)
                 assert [e.tobytes() for e in new_carry.left] == [e.tobytes() for e in left]
                 assert [e.tobytes() for e in new_carry.right] == [e.tobytes() for e in right]
             if state.center == 0:
                 # rest = 0: R-half site 0 has the environments of the last
-                # update, so repeating its record is what a fresh sweep computes
-                assert_same_sweep(carried, sweep(state, target, 1))
+                # update, so repeating its record is what a sweep without
+                # a record computes
+                assert_same_sweep(carried, sweep(SweepCarry(state, target), 1))
             else:
-                # a fresh sweep of the same vector walks back to 0 and
-                # updates R-half sites 0..rest again, with other rounding
-                fresh = sweep(gauge_to(state, 0), target, 1)
-                for a, b in zip(carried[1], fresh[1]):
+                # a sweep without a record of the same vector walks back to
+                # 0 and updates R-half sites 0..rest again, with other rounding
+                fresh = sweep(SweepCarry(gauge_to(state, 0), target), 1)
+                for a, b in zip(carried[0], fresh[0]):
                     assert (a.step, a.site, a.direction, a.stalled) == (
                         b.step, b.site, b.direction, b.stalled,
                     )
                     assert abs(a.overlap - b.overlap) < 1e-12, (n, d, chi)
 
-    def test_foreign_carry_ignored(self):
-        n, d, chi = 6, 2, 2
-        target = named_state("random:7", n, d)
-        other_target = named_state("random:8", n, d)
-        start = random_mps(n, d, chi, seed=1)
-        state, _, carry = sweep(start, target, 0)
-        _, _, other_carry = sweep(random_mps(n, d, chi, seed=2), target, 0)
-        assert state.center == rest_site(state) == 1
-        # a carry built for another state, or for another target: a state
-        # at center 0 sweeps as without a carry, any other is refused
-        assert_same_sweep(sweep(start, target, 1, other_carry), sweep(start, target, 1))
-        assert_same_sweep(sweep(start, target, 1, carry), sweep(start, target, 1))
-        for args in ((state, target, 1, other_carry), (state, other_target, 1, carry),
-                     (state, target, 1)):
-            with pytest.raises(InputError, match=r"^sweep requires center 0, got 1$"):
-                sweep(*args)
+    def test_state_and_record_alone_sweep_as_the_carry_does(self):
+        """A returned state and its last record, without environments, resume bit for bit.
+
+        The environments folded from the chain ends equal the carried ones
+        (``test_carried_sweep_matches_fresh``), so the resumed sweep makes
+        the carried sweep's every product; it adds one whole-gauge check.
+        """
+        for n, d, chi in self.GRID:
+            target = named_state(f"random:{100 + n}", n, d)
+            _, carry = sweep(SweepCarry(random_mps(n, d, chi, seed=n + chi), target), 0)
+            state, rest = carry.state, carry.state.center
+            resumed = sweep(SweepCarry(state, target, carry.record), 1)
+            carried = sweep(carry, 1)
+            assert_same_sweep(resumed, carried)
+            for a, b in ((resumed[1].left, carried[1].left), (resumed[1].right, carried[1].right)):
+                assert [e.tobytes() for e in a] == [e.tobytes() for e in b], (n, d, chi)
+            if n > 1:
+                # with a record the center must be at rest
+                other = 0 if rest else 1
+                message = rf"^sweep requires center {rest}, got {other}$"
+                with pytest.raises(InputError, match=message):
+                    sweep(SweepCarry(gauge_to(state, other), target, carry.record), 1)
 
     @staticmethod
     def count_crossings(monkeypatch):
@@ -567,10 +583,10 @@ class TestSweepCarry:
         a >= b - 1 makes no update after its first sweep.
         """
         target = named_state("random:3", n, 2)
-        state, carry = random_mps(n, 2, chi, seed=1), None
+        carry = SweepCarry(random_mps(n, 2, chi, seed=1), target)
         crossings = self.count_crossings(monkeypatch)
         for k in range(4):
-            state, _, carry = engine.sweep(state, target, k, carry)
+            _, carry = engine.sweep(carry, k)
         assert crossings == expected
 
 
@@ -588,7 +604,7 @@ class TestSaturatedTail:
         target = named_state(f"random:{n + 1}", n, d)
         b = saturated_bond(state)
         assert b < n
-        _, records, _ = sweep(state, target, 2)
+        records, _ = sweep(SweepCarry(state, target), 2)
         rows = len(records)
         assert [r.step for r in records] == list(range(2 * rows, 3 * rows))
         assert [(r.site, r.direction) for r in records] == sweep_schedule(n)
@@ -604,7 +620,7 @@ class TestSaturatedTail:
         (5, 2, 4), (3, 3, 9), (1, 3, 2), (4, 3, 1), (12, 2, 16),
     ])
     def test_one_projection_per_update_made(self, monkeypatch, n, d, chi):
-        """A fresh sweep projects at sites 0..b-1 R and b-2..rest L, a carried one from rest+1.
+        """Projections at 0..b-1 R and b-2..rest L without a record, from rest+1 with one.
 
         So a later sweep makes 2(b-1-rest) projections: none on a chain
         with a >= b - 1, such as (5, 2, 4) and (6, 2, 8); chi < d gives
@@ -625,11 +641,11 @@ class TestSaturatedTail:
             return projection(left, right, i, m, shape)
 
         monkeypatch.setattr(engine, "_projection", recorded)
-        state, _, carry = sweep(state, target, 0)
+        _, carry = sweep(SweepCarry(state, target), 0)
         assert sites == list(range(b)) + list(range(b - 2, rest - 1, -1))
         for k in (1, 2):
             sites.clear()
-            state, _, carry = sweep(state, target, k, carry)
+            _, carry = sweep(carry, k)
             assert sites == list(range(rest + 1, b)) + list(range(b - 2, rest - 1, -1))
             assert len(sites) == 2 * (b - 1 - rest)
 
@@ -648,16 +664,16 @@ class TestSaturatedLeftEnd:
         state = random_mps(n, d, chi, seed=n)
         target = named_state(f"random:{n + 1}", n, d)
         rest = rest_site(state)
-        state, records, carry = sweep(state, target, 0)
-        # L-half rows rest-1..0 of a fresh sweep repeat the row of L-half site rest
+        records, carry = sweep(SweepCarry(state, target), 0)
+        # L-half rows rest-1..0 of a first sweep repeat the row of L-half site rest
         source = records[2 * n - 2 - rest]
         assert (source.site, source.stalled) == (rest, eps > 1)
         for rec in records[2 * n - 1 - rest:]:
             assert (rec.overlap, rec.stalled) == (source.overlap, source.stalled)
-        assert carry.record == records[-1] and state.center == rest
+        assert carry.record == records[-1] and carry.state.center == rest
         for k in (1, 2):
             before = records[-1]
-            state, records, carry = sweep(state, target, k, carry)
+            records, carry = sweep(carry, k)
             # R-half rows 0..rest of a carried sweep repeat the carry's record
             assert [(r.site, r.direction) for r in records[:rest + 1]] == [
                 (i, "R") for i in range(rest + 1)
@@ -665,11 +681,11 @@ class TestSaturatedLeftEnd:
             assert [r.step for r in records] == list(range(k * (2 * n - 1), (k + 1) * (2 * n - 1)))
             for rec in records[:rest + 1]:
                 assert (rec.sweep, rec.overlap, rec.stalled) == (k, before.overlap, before.stalled)
-            assert state.center == rest
+            assert carry.state.center == rest
 
 
 class TestSweepGaugeCheck:
-    """The whole gauge is checked for every state a sweep did not return itself."""
+    """The whole gauge is checked for every carry without environments."""
 
     @staticmethod
     def count_gauge_checks(monkeypatch):
@@ -692,44 +708,42 @@ class TestSweepGaugeCheck:
         assert len(calls) == 1
 
     def test_only_the_own_carry_skips_the_check(self, monkeypatch):
+        """A carry without environments is checked once, a returned one never."""
         n, d, chi = 6, 2, 2
         target = named_state("random:7", n, d)
-        other_target = named_state("random:8", n, d)
         start = random_mps(n, d, chi, seed=1)
-        state, _, carry = sweep(start, target, 0)
-        _, _, other_carry = sweep(random_mps(n, d, chi, seed=2), target, 0)
-        assert state.center == 1
+        _, carry = sweep(SweepCarry(start, target), 0)
+        state = carry.state
+        assert state.center == rest_site(state) == 1
         calls = self.count_gauge_checks(monkeypatch)
-        # None: refused, as a state at center 1 without its own carry
+        # None: refused, as a state at center 1 without a record
         cases = [
-            ("no carry", (state, target, 1, None), None),
-            ("foreign carry", (state, target, 1, other_carry), None),
-            ("carry for another target", (state, other_target, 1, carry), None),
-            ("new MPS object", (dataclasses.replace(state), target, 1, carry), None),
-            ("center 0, no carry", (start, target, 1, None), 1),
-            ("center 0, foreign carry", (start, target, 1, carry), 1),
-            ("own carry", (state, target, 1, carry), 0),
+            ("center 1, no record", SweepCarry(state, target), None),
+            ("center 0, no record", SweepCarry(start, target), 1),
+            ("center rest, the last record", SweepCarry(state, target, carry.record), 1),
+            ("returned carry", carry, 0),
         ]
-        for name, args, expected in cases:
+        for name, first, expected in cases:
             calls.clear()
             if expected is None:
                 with pytest.raises(InputError, match="sweep requires center 0"):
-                    sweep(*args)
+                    sweep(first, 1)
                 expected = 0
             else:
-                sweep(*args)
+                sweep(first, 1)
             assert len(calls) == expected, name
 
     @pytest.mark.parametrize("site", [1, 3, 5])
     def test_changed_core_with_the_old_carry_refused(self, site):
+        """A changed core comes to a sweep in a carry without environments, which is checked."""
         n = 6
         target = named_state("random:7", n, 2)
-        state, _, carry = sweep(random_mps(n, 2, 2, seed=1), target, 0)
-        sites = list(state.sites)
+        _, carry = sweep(SweepCarry(random_mps(n, 2, 2, seed=1), target), 0)
+        sites = list(carry.state.sites)
         sites[site] = sites[site] * 2.0
         broken = MPS(sites=tuple(sites), center=0)
         with pytest.raises(GaugeError):
-            sweep(broken, target, 1, carry)
+            sweep(SweepCarry(broken, target), 1)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     @pytest.mark.parametrize("chi", [1, 3, 16])
@@ -740,7 +754,8 @@ class TestSweepGaugeCheck:
         sweep that began the carry chain made and checked, or checked whole.
         """
         target = named_state(f"random:{n + 1}", n, 2)
-        state, _, carry = sweep(random_mps(n, 2, chi, seed=n), target, 0)
+        _, carry = sweep(SweepCarry(random_mps(n, 2, chi, seed=n), target), 0)
+        state = carry.state
         b, rest = saturated_bond(state), rest_site(state)
         sites, right_cores = [], []
         check_isometry, right_defect = engine.check_isometry, engine.right_defect
@@ -755,7 +770,7 @@ class TestSweepGaugeCheck:
 
         monkeypatch.setattr(engine, "check_isometry", recorded_check)
         monkeypatch.setattr(engine, "right_defect", recorded_defect)
-        returned, _, _ = sweep(state, target, 1, carry)
+        returned = sweep(carry, 1)[1].state
         assert len(sites) == 2 * (b - 1 - rest)
         l_half = sites[b - 1 - rest:]
         assert sorted(l_half) == list(range(rest + 1, b))

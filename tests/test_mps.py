@@ -572,9 +572,11 @@ class TestQRSignInvariance:
         zero[0, 0, 0] = 1.0
         state = MPS(sites=(zero,) * n, center=0)
         target = named_state(f"basis:{3 << (n - 2)}", n, 2)
-        plain = self.fingerprint(*engine.sweep(state, target, 0)[:2])
+        swept = engine.sweep(engine.SweepCarry(state, target), 0)
+        plain = self.fingerprint(swept[1].state, swept[0])
         flips = self.sign_flipped(monkeypatch, seed=8)
-        flipped = self.fingerprint(*engine.sweep(state, target, 0)[:2])
+        swept = engine.sweep(engine.SweepCarry(state, target), 0)
+        flipped = self.fingerprint(swept[1].state, swept[0])
         assert all(row[5] and row[4] == (0.0).hex() for row in plain[0])
         self.assert_same_run(plain, flipped)
         assert sum(flips) > 0

@@ -19,9 +19,8 @@ def shifted_overlaps(monkeypatch):
     sweep = verify.sweep
 
     def shifted(*args):
-        state, records, carry = sweep(*args)
-        records = [dataclasses.replace(r, overlap=r.overlap + 1e-9) for r in records]
-        return state, records, carry
+        records, carry = sweep(*args)
+        return [dataclasses.replace(r, overlap=r.overlap + 1e-9) for r in records], carry
 
     monkeypatch.setattr(verify, "sweep", shifted)
 
@@ -42,9 +41,11 @@ def scale_final_center(monkeypatch, factor):
     """Make ``verify.sweep`` scale the center core of its sweep-1 state by ``factor``."""
     sweep = verify.sweep
 
-    def scaled(state, target, k, carry=None):
-        state, records, carry = sweep(state, target, k, carry)
-        return (scaled_center(state, factor) if k == 1 else state), records, carry
+    def scaled(carry, k):
+        records, carry = sweep(carry, k)
+        if k == 1:
+            carry = dataclasses.replace(carry, state=scaled_center(carry.state, factor))
+        return records, carry
 
     monkeypatch.setattr(verify, "sweep", scaled)
 
@@ -94,9 +95,9 @@ def test_reports_updated_state_mismatch(monkeypatch):
 def test_reports_missing_record(monkeypatch):
     sweep = verify.sweep
 
-    def dropped(state, target, k, carry=None):
-        state, records, carry = sweep(state, target, k, carry)
-        return state, records[:-1] if k == 1 else records, carry
+    def dropped(carry, k):
+        records, carry = sweep(carry, k)
+        return records[:-1] if k == 1 else records, carry
 
     monkeypatch.setattr(verify, "sweep", dropped)
     expected = 2 * (2 * CONFIG.n - 1)
@@ -120,7 +121,7 @@ def test_stalled_first_update_replays_clean(monkeypatch, tmp_path, n, d, chi, se
 
     def recorded(*args):
         result = sweep(*args)
-        swept.extend(result[1])
+        swept.extend(result[0])
         return result
 
     monkeypatch.setattr(verify, "sweep", recorded)
