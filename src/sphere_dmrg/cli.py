@@ -11,7 +11,7 @@ import sys
 import tempfile
 import time
 
-from .engine import MetricRecord, TrainConfig, train
+from .engine import MetricRecord, TrainConfig, sweep_schedule, train
 from .errors import InputError, SphereDMRGError
 from .mps import bond_dims, mps_to_json_dict
 from .target import UNSIGNED_FLOAT, ascii_float, ascii_int
@@ -85,11 +85,18 @@ def _write_outputs(out: str, texts: tuple[str, ...]) -> None:
                 os.unlink(tmp)
 
 
-def _csv_row(r: MetricRecord) -> str:
-    return (
-        f"{r.step},{r.sweep},{r.site},{r.direction},"
-        f"{r.overlap!r},{r.angle!r},{r.distance!r},{int(r.stalled)}"
-    )
+def _csv_text(trajectory: list[MetricRecord], n: int) -> str:
+    """``trajectory.csv``: row k is step k, row k % (2n-1) of sweep k // (2n-1)."""
+    schedule = sweep_schedule(n)
+    rows = [CSV_HEADER]
+    for k, r in enumerate(trajectory):
+        sweep, row = divmod(k, len(schedule))
+        site, direction = schedule[row]
+        rows.append(
+            f"{k},{sweep},{site},{direction},"
+            f"{r.overlap!r},{r.angle!r},{r.distance!r},{int(r.stalled)}"
+        )
+    return "\n".join(rows) + "\n"
 
 
 def config_from_args(args) -> TrainConfig:
@@ -150,11 +157,10 @@ def _run(args) -> int:
                 print(f"oracle mismatch: {m}", file=sys.stderr)
             return 1
 
-    rows = [CSV_HEADER] + [_csv_row(r) for r in trajectory]
     last = trajectory[-1]
     summary = {
         "termination": reason,
-        "sweeps_run": last.sweep + 1,
+        "sweeps_run": len(trajectory) // (2 * config.n - 1),
         "final_overlap": last.overlap,
         "final_angle": last.angle,
         "wall_seconds": elapsed,
@@ -166,7 +172,7 @@ def _run(args) -> int:
         summary_json = json.dumps(summary, indent=2, allow_nan=False)
     except ValueError as exc:
         raise SphereDMRGError(str(exc)) from exc
-    _write_outputs(out, ("\n".join(rows) + "\n", mps_json + "\n", summary_json + "\n"))
+    _write_outputs(out, (_csv_text(trajectory, config.n), mps_json + "\n", summary_json + "\n"))
     return 0
 
 

@@ -7,7 +7,9 @@ closest unit vector to the target is the normalized orthogonal
 projection, and its coordinates are obtained by contracting the target
 against the frozen cores. The engine performs that update, sweeps the
 center along the chain, and records what each update measured: its
-place in the run, its overlap with the target and whether it stalled.
+overlap with the target and whether it stalled. A record's place in the
+run is its index: row k of a run is row k % (2n-1) of ``sweep_schedule(n)``
+in sweep k // (2n-1).
 
 The target is contracted against the frozen cores by the middle-bond fold
 of ``mps`` (``left_start``, ``left_env``, ``right_env``; see that module's
@@ -26,7 +28,7 @@ at its left cap d**j (0 if there is none) and rest = min(a, b - 1).
 Updates run only at R-half sites start+1..b-1 and L-half sites b-2..rest,
 where start is -1 for a carry without a record (center 0) and rest for
 one with a record (center rest); every other row repeats the record
-before it, with its own step, site and direction.
+before it.
 The state a sweep returns has its center at rest.
 
 Why the repeated rows are exact. Cores b..n-1 are square right isometries,
@@ -104,12 +106,12 @@ STALL_EPS = 1e-14
 
 @dataclass(frozen=True)
 class MetricRecord:
-    """One row of the training trajectory; angle and distance derive from overlap."""
+    """What one update measured; angle and distance derive from overlap.
 
-    step: int
-    sweep: int
-    site: int
-    direction: str  # "L" or "R"
+    The row's place in the run (step, sweep, site, direction) is its index
+    in the trajectory and ``sweep_schedule``, not a field.
+    """
+
     overlap: float
     stalled: bool
 
@@ -248,15 +250,15 @@ class SweepCarry:
     right: tuple[np.ndarray, ...] | None = None
 
 
-def sweep(carry: SweepCarry, sweep_index: int) -> tuple[list[MetricRecord], SweepCarry]:
+def sweep(carry: SweepCarry) -> tuple[list[MetricRecord], SweepCarry]:
     """One full sweep of ``optimal_update`` steps over ``sweep_schedule(n)``.
 
-    Emits 2n-1 records (1 for n=1) and returns them with the carry for the
-    next sweep, whose state has its center at rest. Record k of the sweep
-    is step ``sweep_index * (2n-1) + k`` of the run. Updates run only at
-    R-half sites start+1..b-1 and L-half sites b-2..rest (the window rule
-    of the module docstring); every other row repeats the overlap and
-    stall of the record before it, which is what its update would measure.
+    Emits 2n-1 records (1 for n=1), record j for row j of the schedule,
+    and returns them with the carry for the next sweep, whose state has
+    its center at rest. Updates run only at R-half sites start+1..b-1 and
+    L-half sites b-2..rest (the window rule of the module docstring);
+    every other row repeats the record before it, which is what its
+    update would measure.
     Without a record in ``carry``, start is -1 and the state must have its
     center at 0; with one, start is rest, the center must be at rest and
     R-half rows 0..rest repeat that record. Any other center is an
@@ -290,15 +292,11 @@ def sweep(carry: SweepCarry, sweep_index: int) -> tuple[list[MetricRecord], Swee
     # left[i] / right[i]: the environments of site i (see the mps module docstring)
     left += [None] * (n - len(left))
     right = [None] * (n - len(right)) + right
-    schedule = sweep_schedule(n)
-    first = sweep_index * len(schedule)
     records: list[MetricRecord] = []
     factor = None  # the gauge factor the center core is owed by the last shift
-    for k, (site, direction) in enumerate(schedule, start=first):
-        j = k - first
+    for j, (site, direction) in enumerate(sweep_schedule(n)):
         if not (start < j < b or 2 * n - b <= j <= 2 * n - 2 - rest):
             # outside the window an update cannot move the state
-            last = MetricRecord(k, sweep_index, site, direction, last.overlap, last.stalled)
             records.append(last)
             continue
         if direction == "R" and site > 0:
@@ -316,7 +314,7 @@ def sweep(carry: SweepCarry, sweep_index: int) -> tuple[list[MetricRecord], Swee
             side = "right" if direction == "R" else "left"
             cores[site] = absorb_factor(cores[site], factor, side)
         overlap, stalled = _closest_point(cores, site, coeffs, norm)
-        last = MetricRecord(k, sweep_index, site, direction, overlap, stalled)
+        last = MetricRecord(overlap, stalled)
         records.append(last)
     state = MPS(sites=tuple(cores), center=rest)
     return records, SweepCarry(state, target, last, tuple(left[:rest + 1]), tuple(right[rest:]))
@@ -336,8 +334,8 @@ def train(config: TrainConfig) -> tuple[MPS, list[MetricRecord], str]:
     trajectory: list[MetricRecord] = []
     reason = "sweep-limit"
     prev_last = None
-    for k in range(config.max_sweeps):
-        records, carry = sweep(carry, k)
+    for _ in range(config.max_sweeps):
+        records, carry = sweep(carry)
         trajectory.extend(records)
         last = records[-1].overlap
         if prev_last is not None and abs(last - prev_last) < config.tol:

@@ -40,15 +40,15 @@ def oracle_check(config: TrainConfig) -> list[str]:
     """
     target = resolve_target(config.target, config.n, config.d)
     state = random_mps(config.n, config.d, config.chi, config.seed)
-    records, carry = sweep(SweepCarry(state, target), 0)
-    more, carry = sweep(carry, 1)
+    records, carry = sweep(SweepCarry(state, target))
+    more, carry = sweep(carry)
     records += more
     schedule = sweep_schedule(config.n) * 2
     mismatches: list[str] = []
     if len(records) != len(schedule):
         mismatches.append(f"sweep emitted {len(records)} records, expected {len(schedule)}")
-    for (site, direction), record in zip(schedule, records):
-        at = f"sweep {record.sweep}, site {site} ({direction})"
+    for k, ((site, direction), record) in enumerate(zip(schedule, records)):
+        at = f"sweep {k // (2 * config.n - 1)}, site {site} ({direction})"
         state = gauge_to(state, site)
         basis = subspace_basis_dense(state)
         coeffs, _ = compute_projection_tensor(state, target)

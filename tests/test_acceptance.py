@@ -89,7 +89,8 @@ def test_c3_whole_space_collapse():
             target=f"named:random:{n + 70}", max_sweeps=1, tol=1e-30,
         )
         _, traj, _ = train(cfg)
-        middle = next(r for r in traj if r.direction == "R" and r.site == n // 2)
+        # row j < n of the first sweep is R-half site j
+        middle = traj[n // 2]
         assert abs(middle.overlap - 1.0) < 1e-10, (n, middle)
     report("C3 whole-space collapse at the middle site (n=2,4,6)")
 

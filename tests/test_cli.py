@@ -91,6 +91,24 @@ class TestRunCommand:
             overlap = float(fields[4])
             assert -1 - 1e-12 <= overlap <= 1 + 1e-12
 
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (1, 3), (4, 3)])
+    def test_rows_are_numbered_by_the_schedule(self, tmp_path, n, d):
+        """Row k is step k, sweep k // (2n-1) and row k % (2n-1) of ``sweep_schedule``."""
+        extra = ("--sites", str(n), "--phys-dim", str(d), "--max-sweeps", "3")
+        assert run(tmp_path, *extra, "--target", "named:random:9") == 0
+        rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1:]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        schedule = engine.sweep_schedule(n)
+        assert len(schedule) == 2 * n - 1
+        assert summary["sweeps_run"] == len(rows) // len(schedule) >= 1
+        assert len(rows) % len(schedule) == 0
+        for k, row in enumerate(rows):
+            step, sweep, site, direction = row.split(",")[:4]
+            site_, direction_ = schedule[k % len(schedule)]
+            assert (step, sweep, site, direction) == (
+                str(k), str(k // len(schedule)), str(site_), direction_,
+            ), (n, d, k)
+
     @pytest.mark.parametrize("extra, stall_eps", [
         (("--bond-dim", "1", "--target", "named:basis:5"), None),
         # a raised threshold makes a share of the updates stall, overlaps below 0 included

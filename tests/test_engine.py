@@ -174,7 +174,7 @@ class TestOptimalUpdate:
         state = gauge_to(random_mps(4, 2, 2, seed=21), 1)
         target = named_state("random:22", 4, 2)
         _, overlap, stalled = optimal_update(state, target)
-        rec = MetricRecord(0, 0, 1, "R", overlap, stalled)
+        rec = MetricRecord(overlap, stalled)
         assert -1.0 - 1e-12 <= rec.overlap <= 1.0 + 1e-12
         assert abs(rec.distance**2 + 2 * rec.overlap - 2.0) < 1e-12
         assert abs(rec.angle - math.acos(min(1.0, max(-1.0, rec.overlap)))) < 1e-15
@@ -187,12 +187,12 @@ class TestOptimalUpdate:
         (0.0, math.pi / 2, math.sqrt(2.0)),
     ])
     def test_record_derives_angle_and_distance(self, overlap, angle, distance):
-        rec = MetricRecord(0, 0, 0, "R", overlap, False)
+        rec = MetricRecord(overlap, False)
         assert (rec.angle, rec.distance) == (angle, distance)
 
     def test_record_stores_only_what_the_update_measured(self):
         names = [f.name for f in dataclasses.fields(MetricRecord)]
-        assert names == ["step", "sweep", "site", "direction", "overlap", "stalled"]
+        assert names == ["overlap", "stalled"]
 
     def test_invariants_after_update(self):
         from sphere_dmrg.mps import gauge_defect
@@ -209,7 +209,7 @@ class TestSweep:
         state = random_mps(4, 2, 2, seed=41)
         target = DenseState(4, 2, dense_amplitudes(state))
         before = target.amplitudes
-        records, carry = sweep(SweepCarry(state, target), 0)
+        records, carry = sweep(SweepCarry(state, target))
         for rec in records:
             assert abs(rec.overlap - 1.0) < 1e-10
         assert np.linalg.norm(dense_amplitudes(carry.state) - before) < 1e-10
@@ -217,30 +217,25 @@ class TestSweep:
     def test_schedule_and_record_count(self):
         state = random_mps(4, 2, 2, seed=42)
         target = named_state("random:43", 4, 2)
-        records, _ = sweep(SweepCarry(state, target), 3)
-        assert len(records) == 7
-        assert [r.site for r in records] == [0, 1, 2, 3, 2, 1, 0]
-        assert [r.direction for r in records] == ["R"] * 4 + ["L"] * 3
-        # sweeps 0-2 emitted steps 0-20
-        assert [r.step for r in records] == list(range(21, 28))
-        assert all(r.sweep == 3 for r in records)
+        records, _ = sweep(SweepCarry(state, target))
+        assert len(records) == len(sweep_schedule(4)) == 7
 
     def test_single_site_chain(self):
         state = random_mps(1, 2, 1, seed=1)
         target = named_state("random:2", 1, 2)
-        records, _ = sweep(SweepCarry(state, target), 0)
+        records, _ = sweep(SweepCarry(state, target))
         assert len(records) == 1
 
     def test_requires_center_zero(self):
         state = gauge_to(random_mps(3, 2, 2, seed=0), 1)
         with pytest.raises(InputError, match=r"^sweep requires center 0, got 1$"):
-            sweep(SweepCarry(state, named_state("uniform", 3, 2)), 0)
+            sweep(SweepCarry(state, named_state("uniform", 3, 2)))
 
     def test_monotone_overlap(self):
         for seed in range(5):
             state = random_mps(5, 2, 2, seed=seed)
             target = named_state(f"random:{seed + 300}", 5, 2)
-            records, _ = sweep(SweepCarry(state, target), 0)
+            records, _ = sweep(SweepCarry(state, target))
             for a, b in zip(records, records[1:]):
                 if not (a.stalled or b.stalled):
                     assert b.overlap >= a.overlap - 1e-12
@@ -262,13 +257,10 @@ class TestSweepFold:
             schedule = sweep_schedule(n)
             for k in range(2):
                 updated = updated_rows(state, carried=k > 0)
-                records, carry = sweep(carry, k)
+                records, carry = sweep(carry)
                 state = carry.state
                 assert len(records) == len(schedule)
-                for j, (rec, (site, direction)) in enumerate(zip(records, schedule)):
-                    assert (rec.step, rec.sweep, rec.site, rec.direction) == (
-                        k * len(schedule) + j, k, site, direction,
-                    ), (n, d, chi)
+                for rec, (site, direction) in zip(records, schedule):
                     moved, overlap, stalled = optimal_update(gauge_to(replay, site), target)
                     assert rec.stalled == stalled, (n, d, chi, rec)
                     assert abs(rec.overlap - overlap) < 1e-12, (n, d, chi, rec)
@@ -292,7 +284,7 @@ class TestSweepFold:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            records, _ = sweep(SweepCarry(state, target), 0)
+            records, _ = sweep(SweepCarry(state, target))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -323,11 +315,11 @@ class TestSweepFold:
         sites[2] = sites[2] * 2.0
         broken = dataclasses.replace(state, sites=tuple(sites))
         with pytest.raises(GaugeError):
-            sweep(SweepCarry(broken, named_state("uniform", 4, 2)), 0)
+            sweep(SweepCarry(broken, named_state("uniform", 4, 2)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            sweep(SweepCarry(random_mps(3, 2, 2, seed=0), named_state("uniform", 4, 2)), 0)
+            sweep(SweepCarry(random_mps(3, 2, 2, seed=0), named_state("uniform", 4, 2)))
 
 
 class TestSweepGaugeFactor:
@@ -348,7 +340,7 @@ class TestSweepGaugeFactor:
             carry = SweepCarry(state, target)
             for k in range(2):
                 updated = updated_rows(state, carried=k > 0)
-                records, carry = sweep(carry, k)
+                records, carry = sweep(carry)
                 state = carry.state
                 assert len(records) == len(schedule)
                 for j, (rec, row) in enumerate(zip(records, schedule)):
@@ -423,7 +415,7 @@ class TestSweepGaugeFactor:
         for k in range(3):
             expected = self.non_square_shifts(carry.state, carried=k > 0)
             calls.clear()
-            _, carry = sweep(carry, k)
+            _, carry = sweep(carry)
             assert len(calls) == expected, k
 
     def test_failed_right_shift_names_its_site(self, monkeypatch):
@@ -432,7 +424,7 @@ class TestSweepGaugeFactor:
         # the core at site 0 is (1, 2, 2), square; the first QR leaves site 1
         self.wrap_qr(monkeypatch, doubled_from=1)
         with pytest.raises(GaugeError, match=r"^isometry defect \S+ at site 1 exceeds 1e-08$"):
-            sweep(SweepCarry(state, target), 0)
+            sweep(SweepCarry(state, target))
 
     def test_failed_left_shift_names_its_site(self, monkeypatch):
         # (n, chi) = (4, 2) ends the R half after one QR (site 1), and so
@@ -451,7 +443,7 @@ class TestSweepGaugeFactor:
             self.wrap_qr(monkeypatch, doubled_from=r_half_qrs + 1)
             message = rf"^isometry defect \S+ at site {b - 1} exceeds 1e-08$"
             with pytest.raises(GaugeError, match=message):
-                sweep(SweepCarry(state, target), 0)
+                sweep(SweepCarry(state, target))
             monkeypatch.undo()
 
 
@@ -484,9 +476,9 @@ class TestSweepCarry:
     def test_carried_sweep_matches_fresh(self):
         for n, d, chi in self.GRID:
             target = named_state(f"random:{100 + n}", n, d)
-            first = sweep(SweepCarry(random_mps(n, d, chi, seed=n + chi), target), 0)
+            first = sweep(SweepCarry(random_mps(n, d, chi, seed=n + chi), target))
             state = first[1].state
-            carried = sweep(first[1], 1)
+            carried = sweep(first[1])
             for _, new_carry in (first, carried):
                 # each carry holds the environments of its own state, bit for bit
                 left, right = self.environments(new_carry.state, target)
@@ -496,15 +488,14 @@ class TestSweepCarry:
                 # rest = 0: R-half site 0 has the environments of the last
                 # update, so repeating its record is what a sweep without
                 # a record computes
-                assert_same_sweep(carried, sweep(SweepCarry(state, target), 1))
+                assert_same_sweep(carried, sweep(SweepCarry(state, target)))
             else:
                 # a sweep without a record of the same vector walks back to
                 # 0 and updates R-half sites 0..rest again, with other rounding
-                fresh = sweep(SweepCarry(gauge_to(state, 0), target), 1)
+                fresh = sweep(SweepCarry(gauge_to(state, 0), target))
+                assert len(carried[0]) == len(fresh[0])
                 for a, b in zip(carried[0], fresh[0]):
-                    assert (a.step, a.site, a.direction, a.stalled) == (
-                        b.step, b.site, b.direction, b.stalled,
-                    )
+                    assert a.stalled == b.stalled, (n, d, chi)
                     assert abs(a.overlap - b.overlap) < 1e-12, (n, d, chi)
 
     def test_state_and_record_alone_sweep_as_the_carry_does(self):
@@ -516,10 +507,10 @@ class TestSweepCarry:
         """
         for n, d, chi in self.GRID:
             target = named_state(f"random:{100 + n}", n, d)
-            _, carry = sweep(SweepCarry(random_mps(n, d, chi, seed=n + chi), target), 0)
+            _, carry = sweep(SweepCarry(random_mps(n, d, chi, seed=n + chi), target))
             state, rest = carry.state, carry.state.center
-            resumed = sweep(SweepCarry(state, target, carry.record), 1)
-            carried = sweep(carry, 1)
+            resumed = sweep(SweepCarry(state, target, carry.record))
+            carried = sweep(carry)
             assert_same_sweep(resumed, carried)
             for a, b in ((resumed[1].left, carried[1].left), (resumed[1].right, carried[1].right)):
                 assert [e.tobytes() for e in a] == [e.tobytes() for e in b], (n, d, chi)
@@ -528,7 +519,7 @@ class TestSweepCarry:
                 other = 0 if rest else 1
                 message = rf"^sweep requires center {rest}, got {other}$"
                 with pytest.raises(InputError, match=message):
-                    sweep(SweepCarry(gauge_to(state, other), target, carry.record), 1)
+                    sweep(SweepCarry(gauge_to(state, other), target, carry.record))
 
     @staticmethod
     def count_crossings(monkeypatch):
@@ -585,8 +576,8 @@ class TestSweepCarry:
         target = named_state("random:3", n, 2)
         carry = SweepCarry(random_mps(n, 2, chi, seed=1), target)
         crossings = self.count_crossings(monkeypatch)
-        for k in range(4):
-            _, carry = engine.sweep(carry, k)
+        for _ in range(4):
+            _, carry = engine.sweep(carry)
         assert crossings == expected
 
 
@@ -604,16 +595,16 @@ class TestSaturatedTail:
         target = named_state(f"random:{n + 1}", n, d)
         b = saturated_bond(state)
         assert b < n
-        records, _ = sweep(SweepCarry(state, target), 2)
-        rows = len(records)
-        assert [r.step for r in records] == list(range(2 * rows, 3 * rows))
-        assert [(r.site, r.direction) for r in records] == sweep_schedule(n)
+        records, _ = sweep(SweepCarry(state, target))
+        assert len(records) == 2 * n - 1
+        # row b-1 of the schedule is R-half site b-1
+        assert sweep_schedule(n)[b - 1] == (b - 1, "R")
         source = records[b - 1]
-        assert (source.site, source.direction, source.stalled) == (b - 1, "R", eps > 1)
+        assert source.stalled == (eps > 1)
         repeated = records[b:2 * n - b]
         assert len(repeated) == 2 * (n - b)
         for rec in repeated:
-            assert (rec.sweep, rec.overlap, rec.stalled) == (2, source.overlap, source.stalled)
+            assert (rec.overlap, rec.stalled) == (source.overlap, source.stalled)
 
     @pytest.mark.parametrize("n, d, chi", [
         (1, 2, 1), (3, 2, 1), (8, 2, 1), (5, 3, 2), (4, 2, 4), (6, 2, 8), (7, 3, 9), (9, 2, 16),
@@ -641,11 +632,11 @@ class TestSaturatedTail:
             return projection(left, right, i, m, shape)
 
         monkeypatch.setattr(engine, "_projection", recorded)
-        _, carry = sweep(SweepCarry(state, target), 0)
+        _, carry = sweep(SweepCarry(state, target))
         assert sites == list(range(b)) + list(range(b - 2, rest - 1, -1))
-        for k in (1, 2):
+        for _ in range(2):
             sites.clear()
-            _, carry = sweep(carry, k)
+            _, carry = sweep(carry)
             assert sites == list(range(rest + 1, b)) + list(range(b - 2, rest - 1, -1))
             assert len(sites) == 2 * (b - 1 - rest)
 
@@ -664,23 +655,22 @@ class TestSaturatedLeftEnd:
         state = random_mps(n, d, chi, seed=n)
         target = named_state(f"random:{n + 1}", n, d)
         rest = rest_site(state)
-        records, carry = sweep(SweepCarry(state, target), 0)
+        records, carry = sweep(SweepCarry(state, target))
         # L-half rows rest-1..0 of a first sweep repeat the row of L-half site rest
+        assert sweep_schedule(n)[2 * n - 2 - rest][0] == rest
         source = records[2 * n - 2 - rest]
-        assert (source.site, source.stalled) == (rest, eps > 1)
+        assert source.stalled == (eps > 1)
         for rec in records[2 * n - 1 - rest:]:
             assert (rec.overlap, rec.stalled) == (source.overlap, source.stalled)
         assert carry.record == records[-1] and carry.state.center == rest
-        for k in (1, 2):
+        # R-half rows 0..rest of a carried sweep repeat the carry's record
+        assert sweep_schedule(n)[:rest + 1] == [(i, "R") for i in range(rest + 1)]
+        for _ in range(2):
             before = records[-1]
-            records, carry = sweep(carry, k)
-            # R-half rows 0..rest of a carried sweep repeat the carry's record
-            assert [(r.site, r.direction) for r in records[:rest + 1]] == [
-                (i, "R") for i in range(rest + 1)
-            ]
-            assert [r.step for r in records] == list(range(k * (2 * n - 1), (k + 1) * (2 * n - 1)))
+            records, carry = sweep(carry)
+            assert len(records) == 2 * n - 1
             for rec in records[:rest + 1]:
-                assert (rec.sweep, rec.overlap, rec.stalled) == (k, before.overlap, before.stalled)
+                assert (rec.overlap, rec.stalled) == (before.overlap, before.stalled)
             assert carry.state.center == rest
 
 
@@ -712,7 +702,7 @@ class TestSweepGaugeCheck:
         n, d, chi = 6, 2, 2
         target = named_state("random:7", n, d)
         start = random_mps(n, d, chi, seed=1)
-        _, carry = sweep(SweepCarry(start, target), 0)
+        _, carry = sweep(SweepCarry(start, target))
         state = carry.state
         assert state.center == rest_site(state) == 1
         calls = self.count_gauge_checks(monkeypatch)
@@ -727,10 +717,10 @@ class TestSweepGaugeCheck:
             calls.clear()
             if expected is None:
                 with pytest.raises(InputError, match="sweep requires center 0"):
-                    sweep(first, 1)
+                    sweep(first)
                 expected = 0
             else:
-                sweep(first, 1)
+                sweep(first)
             assert len(calls) == expected, name
 
     @pytest.mark.parametrize("site", [1, 3, 5])
@@ -738,12 +728,12 @@ class TestSweepGaugeCheck:
         """A changed core comes to a sweep in a carry without environments, which is checked."""
         n = 6
         target = named_state("random:7", n, 2)
-        _, carry = sweep(SweepCarry(random_mps(n, 2, 2, seed=1), target), 0)
+        _, carry = sweep(SweepCarry(random_mps(n, 2, 2, seed=1), target))
         sites = list(carry.state.sites)
         sites[site] = sites[site] * 2.0
         broken = MPS(sites=tuple(sites), center=0)
         with pytest.raises(GaugeError):
-            sweep(SweepCarry(broken, target), 1)
+            sweep(SweepCarry(broken, target))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     @pytest.mark.parametrize("chi", [1, 3, 16])
@@ -754,7 +744,7 @@ class TestSweepGaugeCheck:
         sweep that began the carry chain made and checked, or checked whole.
         """
         target = named_state(f"random:{n + 1}", n, 2)
-        _, carry = sweep(SweepCarry(random_mps(n, 2, chi, seed=n), target), 0)
+        _, carry = sweep(SweepCarry(random_mps(n, 2, chi, seed=n), target))
         state = carry.state
         b, rest = saturated_bond(state), rest_site(state)
         sites, right_cores = [], []
@@ -770,7 +760,7 @@ class TestSweepGaugeCheck:
 
         monkeypatch.setattr(engine, "check_isometry", recorded_check)
         monkeypatch.setattr(engine, "right_defect", recorded_defect)
-        returned = sweep(carry, 1)[1].state
+        returned = sweep(carry)[1].state
         assert len(sites) == 2 * (b - 1 - rest)
         l_half = sites[b - 1 - rest:]
         assert sorted(l_half) == list(range(rest + 1, b))
@@ -805,7 +795,8 @@ class TestTrain:
             n=4, chi=4, seed=2, target="named:random:6", max_sweeps=1, tol=1e-10
         )
         _, traj, _ = train(cfg)
-        middle = [r for r in traj if r.direction == "R" and r.site == 2][0]
+        # row j < n of the first sweep is R-half site j
+        middle = traj[2]
         assert abs(middle.overlap - 1.0) < 1e-10
 
     def test_converged(self):
@@ -830,7 +821,6 @@ class TestTrain:
         for n, d in [(3, 2), (1, 2), (2, 2), (1, 3), (2, 3), (4, 3)]:
             cfg = TrainConfig(n=n, d=d, chi=2, seed=5, target="named:random:9", max_sweeps=3)
             state, traj, _ = train(cfg)
-            assert [r.step for r in traj] == list(range(len(traj))), (n, d)
             # the last recorded overlap is the final state's overlap with the target
             target = named_state("random:9", n, d)
             assert abs(traj[-1].overlap - overlap_dense(state, target)) <= 1e-12, (n, d)

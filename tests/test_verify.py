@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -38,12 +39,12 @@ def scaled_center(state, factor):
 
 
 def scale_final_center(monkeypatch, factor):
-    """Make ``verify.sweep`` scale the center core of its sweep-1 state by ``factor``."""
-    sweep = verify.sweep
+    """Make ``verify.sweep`` scale the center core of its second state by ``factor``."""
+    sweep, calls = verify.sweep, itertools.count()
 
-    def scaled(carry, k):
-        records, carry = sweep(carry, k)
-        if k == 1:
+    def scaled(carry):
+        records, carry = sweep(carry)
+        if next(calls) == 1:
             carry = dataclasses.replace(carry, state=scaled_center(carry.state, factor))
         return records, carry
 
@@ -93,11 +94,11 @@ def test_reports_updated_state_mismatch(monkeypatch):
 
 
 def test_reports_missing_record(monkeypatch):
-    sweep = verify.sweep
+    sweep, calls = verify.sweep, itertools.count()
 
-    def dropped(carry, k):
-        records, carry = sweep(carry, k)
-        return records[:-1] if k == 1 else records, carry
+    def dropped(carry):
+        records, carry = sweep(carry)
+        return records[:-1] if next(calls) == 1 else records, carry
 
     monkeypatch.setattr(verify, "sweep", dropped)
     expected = 2 * (2 * CONFIG.n - 1)
