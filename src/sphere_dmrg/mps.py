@@ -30,9 +30,9 @@ so a fold holds O(chi * d**(ceil(n/2) + 1)) numbers besides the target.
 engine's sweep and ``overlap_dense`` are both built from them.
 
 The fold takes the target itself, not its array, and reads it only
-through ``DenseState``'s products: ``as_row`` for n = 1, ``row_fold``
-(block.T @ T) on the left crossing and ``column_fold`` (T @ block.T) on
-the right one. The column fold runs over cache-sized row slabs, because
+through ``DenseState``'s two products: ``row_fold`` (block.T @ T) on the
+left crossing, and for n = 1 at the start, and ``column_fold``
+(T @ block.T) on the right one. The column fold runs over cache-sized row slabs, because
 OpenBLAS packs the whole target for a product with only chi columns; the
 row fold stays one matmul, because summing its slabs' partial products
 costs more than the packing saves. ``DenseState``'s docstring has the
@@ -279,8 +279,13 @@ def dense_amplitudes(state: MPS) -> np.ndarray:
 
 
 def left_start(m: int, target: DenseState) -> np.ndarray:
-    """Left environment of site 0: the empty block, or for n = 1 the target."""
-    return np.ones((1, 1)) if m else target.as_row()
+    """Left environment of site 0: the empty block, or for n = 1 the target as one row.
+
+    For n = 1 the row fold of the empty block multiplies each amplitude by
+    1.0, so the row holds the amplitudes exactly.
+    """
+    block = np.ones((1, 1))
+    return block if m else target.row_fold(block)
 
 
 def left_env(

@@ -44,9 +44,10 @@ class DenseState:
     """Explicit length d**n amplitude vector with unit norm.
 
     The MPS fold (``mps.left_start``, ``left_env``, ``right_env``) reads the
-    target only through three products: ``as_row`` for n = 1, ``row_fold``
-    and ``column_fold`` where the fold crosses the middle bond. These two
-    are the only steps that read the whole vector.
+    target only through two products, ``row_fold`` and ``column_fold``,
+    where the fold crosses the middle bond (and ``row_fold`` of a 1 x 1
+    block at the start when n = 1). These are the only steps that read the
+    whole vector.
 
     ``column_fold`` is T @ block.T with a block of only chi rows. As one
     product, OpenBLAS packs all of T before its kernel runs, and the fold
@@ -94,10 +95,6 @@ class DenseState:
             raise InputError("amplitudes must be finite (found NaN or Inf)")
         if abs(norm - 1.0) > 1e-12:
             raise InputError(f"amplitudes have norm {norm!r}, expected 1")
-
-    def as_row(self) -> np.ndarray:
-        """The amplitudes as one (1, d**n) row, the fold's start when n = 1."""
-        return self.amplitudes.reshape(1, -1)
 
     def row_fold(self, block: np.ndarray) -> np.ndarray:
         """block.T @ T, where T is the amplitudes read with ``len(block)`` rows."""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sphere_dmrg import target as target_module
 from sphere_dmrg.errors import InputError
+from sphere_dmrg.mps import left_start
 from sphere_dmrg.target import (
     SLAB_BYTES,
     DenseState,
@@ -36,7 +37,7 @@ class TestDenseState:
 
 
 class TestFoldProducts:
-    """The three products through which the MPS fold reads a target."""
+    """The two products through which the MPS fold reads a target."""
 
     @staticmethod
     def blocks(n, d, chi):
@@ -96,8 +97,9 @@ class TestFoldProducts:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_n1_start_is_the_target_as_one_row(self, d):
+        # for n = 1 the fold starts with the row fold of the 1 x 1 block of ones
         target = named_state("random:1", 1, d)
-        row = target.as_row()
+        row = left_start(0, target)
         assert row.shape == (1, d)
         assert row.tobytes() == target.amplitudes.reshape(1, -1).tobytes()
 
