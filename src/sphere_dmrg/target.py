@@ -35,6 +35,16 @@ def check_dense_guard(n: int, d: int) -> None:
         )
 
 
+def unit_norm(amps: np.ndarray) -> float:
+    """The 2-norm of a float64 vector, with the same bits at any BLAS thread count.
+
+    numpy's own summation loop computes it. ``np.linalg.norm`` calls BLAS,
+    and OpenBLAS splits the sum across its threads, which changes its last
+    bits from n = 14 on.
+    """
+    return math.sqrt(np.einsum("i,i->", amps, amps))
+
+
 #: target bytes per row slab of ``DenseState.column_fold``
 SLAB_BYTES = 1 << 18
 
@@ -88,7 +98,7 @@ class DenseState:
             raise InputError(
                 f"expected {self.d}**{self.n} amplitudes, got shape {amps.shape}"
             )
-        norm = float(np.linalg.norm(amps))
+        norm = unit_norm(amps)
         # a NaN or Inf amplitude makes the norm NaN or Inf, and a NaN
         # would pass the unit-norm comparison below
         if not np.isfinite(norm):
@@ -185,7 +195,7 @@ def state_from_counts(counts: dict[str, int], d: int) -> DenseState:
     amps = np.zeros(d**n)
     amps[idx] = weights
     # sum of count/total is exactly the simplex; renormalize away rounding
-    amps /= np.linalg.norm(amps)
+    amps /= unit_norm(amps)
     return DenseState(n=n, d=d, amplitudes=amps)
 
 
@@ -261,7 +271,7 @@ def named_state(name: str, n: int, d: int) -> DenseState:
             raise InputError(f"random target seed must be >= 0, got {k}")
         rng = np.random.default_rng(k)
         amps = rng.standard_normal(dim)
-        amps /= np.linalg.norm(amps)
+        amps /= unit_norm(amps)
     return DenseState(n=n, d=d, amplitudes=amps)
 
 
@@ -333,7 +343,7 @@ def load_target_file(path: str, n: int, d: int, kind: str) -> DenseState:
     check_dense_guard(n, d)
     amps = number_array(doc.get("amplitudes"), f"field 'amplitudes' in {path}")
     with np.errstate(over="ignore"):  # a norm past float64 is inf, refused below
-        norm = float(np.linalg.norm(amps))
+        norm = unit_norm(amps)
     if abs(norm - 1.0) > 1e-6:
         raise InputError(f"amplitudes in {path} have norm {norm!r}")
     amps /= norm

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -388,6 +390,39 @@ class TestRunCommand:
             f for f in (os.listdir(out) if out.exists() else [])
             if not f.startswith(".")
         )
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestBlasThreadCount:
+    """A run writes the same bytes at one BLAS thread and at two."""
+
+    @staticmethod
+    def outputs(tmp_path, threads, spec):
+        """``trajectory.csv`` and ``final_mps.json`` of a CLI subprocess at ``threads``."""
+        out = tmp_path / f"threads{threads}"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, **dict.fromkeys(THREAD_VARIABLES, str(threads)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([
+            sys.executable, "-m", "sphere_dmrg.cli", "--sites", "16", "--bond-dim", "8",
+            "--seed", "0", "--max-sweeps", "3", "--target", spec, "--out", str(out),
+        ], env=env, check=True)
+        return [(out / name).read_bytes() for name in ("trajectory.csv", "final_mps.json")]
+
+    @pytest.mark.parametrize("kind", ["named", "counts"])
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, kind):
+        spec = "named:random:3"
+        if kind == "counts":
+            rng = np.random.default_rng(16)
+            keys, counts = np.unique(rng.integers(0, 2**16, 50_000), return_counts=True)
+            path = tmp_path / "counts.json"
+            path.write_text(json.dumps({"kind": "counts", "d": 2, "counts": {
+                format(int(k), "016b"): int(c) for k, c in zip(keys, counts)
+            }}))
+            spec = f"counts:{path}"
+        assert self.outputs(tmp_path, 1, spec) == self.outputs(tmp_path, 2, spec)
 
 
 # target documents by file name; the valid ones fit --sites 3 --phys-dim 2

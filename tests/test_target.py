@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sphere_dmrg.target import (
     named_state,
     resolve_target,
     state_from_counts,
+    unit_norm,
 )
 
 
@@ -34,6 +36,19 @@ class TestDenseState:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(InputError):
             DenseState(n=1, d=2, amplitudes=np.array([1.0, bad]))
+
+
+class TestUnitNorm:
+    @pytest.mark.parametrize("size", [1, 7, 2**14, 2**16])
+    def test_is_the_two_norm(self, size):
+        x = np.random.default_rng(size).standard_normal(size)
+        exact = math.sqrt(math.fsum(x * x))
+        assert abs(unit_norm(x) - exact) <= 1e-13 * exact
+
+    def test_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert unit_norm(np.array([1e200, 1.0])) == math.inf
 
 
 class TestFoldProducts:
@@ -172,7 +187,7 @@ def per_key_amplitudes(counts, d):
         for ch in key:
             idx = idx * d + int(ch)
         amps[idx] = math.sqrt(c / total)
-    return amps / np.linalg.norm(amps)
+    return amps / unit_norm(amps)
 
 
 class TestCountsEncoder:
@@ -348,7 +363,7 @@ class TestTargetFiles:
         path = tmp_path / "t.json"
         path.write_text(json.dumps({"kind": "amplitudes", "n": 3, "d": 2, "amplitudes": values}))
         amps = np.asarray(values)
-        expected = amps / float(np.linalg.norm(amps))
+        expected = amps / unit_norm(amps)
         state = load_target_file(str(path), n=3, d=2, kind="amplitudes")
         assert state.amplitudes.tobytes() == expected.tobytes()
 
