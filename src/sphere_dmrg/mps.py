@@ -32,10 +32,10 @@ engine's sweep and ``overlap_dense`` are both built from them.
 The fold takes the target itself, not its array, and reads it only
 through ``DenseState``'s two products: ``row_fold`` (block.T @ T) on the
 left crossing, and for n = 1 at the start, and ``column_fold``
-(T @ block.T) on the right one. The column fold runs over cache-sized row slabs, because
-OpenBLAS packs the whole target for a product with only chi columns; the
-row fold stays one matmul, because summing its slabs' partial products
-costs more than the packing saves. ``DenseState``'s docstring has the
+(T @ block.T) on the right one. The column fold runs over cache-sized row
+slabs, because OpenBLAS packs the whole target for a product with only chi
+columns; the row fold stays one matmul, because summing its slabs' partial
+products costs more than the packing saves. ``DenseState``'s docstring has the
 measurements.
 """
 
