@@ -6,7 +6,7 @@ class SphereDMRGError(Exception):
 
 
 class ContractShapeError(SphereDMRGError):
-    """Operand shapes do not fit a contraction or a QR."""
+    """Operand shapes do not fit a contraction."""
 
 
 class InputError(SphereDMRGError):

@@ -13,8 +13,9 @@ factor (``split_core``). Where the core's matrix is square, the bond is
 saturated at its ``bond_dims`` cap and the identity already spans the whole
 space, so the split is the identity and the core itself, exact and with no
 QR; on the chain's saturated ends that skips the QR of every shift. Any
-other core takes one plain QR (``qr_orthonormalize``), which serves
-every non-square split; the shape-checked ``contract`` serves only dense
+other core takes one plain QR (``qr_orthonormalize``) of a tall matrix:
+the chain rule of ``MPS`` makes every split matrix have at least as many
+rows as columns. The shape-checked ``contract`` serves only dense
 conversion. Cores are float64 numpy arrays in no fixed memory order: a
 non-square left split returns the view ``q.T.reshape(...)``, not C-contiguous.
 
@@ -55,7 +56,16 @@ GAUGE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class MPS:
-    """Chain of (chi_left, d, chi_right) cores with an orthogonality center."""
+    """Chain of (chi_left, d, chi_right) cores with an orthogonality center.
+
+    The chain is tall: neighbouring cores share their bond, the end bonds
+    are 1, and each bond is at most d times each neighbouring bond, so
+    every core has chi_right <= chi_left * d and chi_left <= d * chi_right.
+    Then every matrix that a gauge shift splits has at least as many rows
+    as columns, and ``split_core``'s QR keeps the core's shape.
+    ``mps_from_json_dict`` refuses a chain that breaks the rule; a chain
+    built in code must keep it, as ``bond_dims`` does.
+    """
 
     sites: tuple[np.ndarray, ...]
     center: int
@@ -84,8 +94,18 @@ def bond_dims(n: int, d: int, chi: int) -> list[int]:
 
 
 def _validate_chain(sites) -> None:
+    """Raise InputError unless ``sites`` form a tall chain (see ``MPS``).
+
+    A refusal of the tall rule names the core and its shape: the gauge walk
+    could not split that core by a QR that keeps its shape.
+    """
     if sites[0].shape[0] != 1 or sites[-1].shape[2] != 1:
         raise InputError("boundary bonds must have dimension 1")
+    for j, (l, d, r) in enumerate(core.shape for core in sites):
+        if r > l * d or l > d * r:
+            raise InputError(
+                f"core {j} has shape {(l, d, r)}: a bond is more than {d} times its neighbour"
+            )
     for j in range(len(sites) - 1):
         if sites[j].shape[2] != sites[j + 1].shape[0]:
             raise InputError(
@@ -158,23 +178,17 @@ def random_mps(n: int, d: int, chi: int, seed: int) -> MPS:
 
 
 def qr_orthonormalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's thin QR of a matrix with rows >= cols, no rank check.
+    """numpy's thin QR, ``np.linalg.qr(m)`` as it is, with no rank or shape check.
 
-    Returns (q, t) with q.T @ q = I, q @ t = m and t upper-triangular,
-    bit-stable for identical input. The signs of t's diagonal are
-    LAPACK's: a thin QR is unique only up to them, as an MPS is only up
-    to its gauge, and no record reads them. Householder QR keeps q
-    orthonormal when ``m`` is rank-deficient, which is what a gauge shift
-    needs: a bond wider than the state's Schmidt rank is redundant, not
-    invalid. A matrix that is not 2-D, or has fewer rows than columns, is
-    refused.
+    Returns (q, t) with q @ t = m and t upper-triangular, bit-stable for
+    identical input; for rows >= cols, q.T @ q = I. The signs of t's
+    diagonal are LAPACK's: a thin QR is unique only up to them, as an MPS
+    is only up to its gauge, and no record reads them. Householder QR
+    keeps q orthonormal when ``m`` is rank-deficient, which is what a gauge
+    shift needs: a bond wider than the state's Schmidt rank is redundant,
+    not invalid. ``split_core`` passes only matrices with rows >= cols,
+    which every chain of ``MPS``'s tall rule gives.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ContractShapeError(f"expected a rank-2 tensor, got shape {m.shape}")
-    r, c = m.shape
-    if r < c:
-        raise ContractShapeError(f"need rows >= cols, got shape {m.shape}")
     return np.linalg.qr(m)
 
 
@@ -194,6 +208,9 @@ def split_core(core: np.ndarray, direction: str) -> tuple[np.ndarray, np.ndarray
     core's rank. Any other core is split by numpy's QR, which is not
     rank-checked: when the state's Schmidt rank at the bond is below the
     bond dimension, q is still an isometry and the split is still exact.
+    The core must keep ``MPS``'s tall rule (r <= l*d for ``"right"``,
+    l <= d*r for ``"left"``); a wider matrix would give a q and t of other
+    shapes than the core's bonds.
     """
     l, d, r = core.shape
     if direction == "right":

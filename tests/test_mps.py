@@ -330,19 +330,21 @@ class TestSquareSplit:
 
     @pytest.mark.parametrize("center, direction", [(0, "right"), (1, "left")])
     def test_bond_past_its_cap_still_refused(self, center, direction):
-        """A document may hold cores past their bond cap.
+        """A document with a bond past its cap is refused at load, naming the core.
 
-        (1, 2, 3) has l*d < r and (3, 2, 1) has l > d*r: neither splits exactly.
+        (1, 2, 3) has l*d < r and (3, 2, 1) has l > d*r: neither splits by
+        a tall QR. The same chain at the cap, bond 2, loads and shifts from
+        ``center`` in ``direction``.
         """
-        doc = {
-            "n": 2, "d": 2, "center": center,
-            "tensors": [
-                {"shape": [1, 2, 3], "data": [0.5] * 6},
-                {"shape": [3, 2, 1], "data": [0.5] * 6},
-            ],
-        }
-        with pytest.raises(ContractShapeError):
-            shift_center(mps_from_json_dict(doc), direction)
+        def doc(bond):
+            return {"n": 2, "d": 2, "center": center, "tensors": [
+                {"shape": [1, 2, bond], "data": [0.5] * 2 * bond},
+                {"shape": [bond, 2, 1], "data": [0.5] * 2 * bond},
+            ]}
+
+        with pytest.raises(InputError, match=r"^core 0 has shape \(1, 2, 3\): "):
+            mps_from_json_dict(doc(3))
+        assert shift_center(mps_from_json_dict(doc(2)), direction).center == 1 - center
 
 
 class TestContract:
@@ -435,14 +437,6 @@ class TestQROrthonormalize:
         np.testing.assert_allclose(q @ t, m, atol=1e-12)
         np.testing.assert_allclose(q.T @ q, np.eye(3), atol=1e-12)
         assert np.allclose(t, np.triu(t))
-
-    def test_wide_matrix_rejected(self):
-        with pytest.raises(ContractShapeError):
-            qr_orthonormalize(np.zeros((2, 3)))
-
-    def test_rank1_rejected(self):
-        with pytest.raises(ContractShapeError):
-            qr_orthonormalize(np.zeros(4))
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -816,6 +810,35 @@ class TestSerialization:
         assert all(type(v) is int for v in sizes), sizes
         assert not any(type(x) is bool for core in doc["tensors"] for x in core["data"])
         assert mps_to_json_dict(loaded) == doc
+
+    @given(
+        n=st.integers(1, 6), d=st.integers(2, 3), seed=st.integers(0, 2**32), data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_loaded_chain_walks_to_either_end(self, n, d, seed, data):
+        """A document of any bonds 1-6 is refused, or the walk splits it exactly."""
+        bonds = [1] + data.draw(st.lists(st.integers(1, 6), min_size=n - 1, max_size=n - 1)) + [1]
+        rng = np.random.default_rng(seed)
+        shapes = [(bonds[j], d, bonds[j + 1]) for j in range(n)]
+        doc = {"n": n, "d": d, "center": data.draw(st.integers(0, n - 1)), "tensors": [
+            {"shape": list(shape), "data": rng.standard_normal(math.prod(shape)).tolist()}
+            for shape in shapes
+        ]}
+        tall = all(r <= l * d and l <= d * r for l, _, r in shapes)
+        try:
+            state = mps_from_json_dict(doc)
+        except InputError:
+            assert not tall
+            return
+        assert tall
+        before = dense_amplitudes(state)
+        c = state.center
+        for end, split, defect in ((0, range(1, c + 1), right_defect),
+                                   (n - 1, range(c, n - 1), left_defect)):
+            walked = gauge_to(state, end)
+            after = dense_amplitudes(walked)
+            assert np.linalg.norm(after - before) <= 1e-12 * np.linalg.norm(before)
+            assert all(defect(walked.sites[j]) <= 1e-10 for j in split)
 
     def test_schema_fields(self):
         doc = mps_to_json_dict(random_mps(3, 2, 2, seed=1))
