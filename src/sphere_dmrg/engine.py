@@ -98,7 +98,7 @@ from .mps import (
 )
 # perfbench/layers.py wraps engine.contract and engine.shift_center
 from .mps import contract, shift_center  # noqa: F401
-from .target import DenseState, resolve_target
+from .target import DenseState, resolve_target, unit_norm
 
 #: projection norm at or below which an update stalls
 STALL_EPS = 1e-14
@@ -160,9 +160,7 @@ def _projection(
         coeffs = (left.T @ right.reshape(left.shape[0], d * r)).reshape(l, d, r)
     else:
         coeffs = (left.reshape(l * d, -1) @ right.T).reshape(l, d, r)
-    flat = coeffs.reshape(-1)
-    # the value np.linalg.norm computes, without its dispatch overhead
-    return coeffs, math.sqrt(flat @ flat)
+    return coeffs, unit_norm(coeffs.reshape(-1))
 
 
 def _chain_end_environments(
@@ -206,8 +204,9 @@ def _closest_point(
     """Set ``cores[site]`` to the normalized projection; return (overlap, stalled)."""
     if norm <= STALL_EPS:
         # the state lies in the subspace, so its overlap is its center's
-        # inner product with the projection coefficients
-        return float(np.vdot(cores[site], coeffs)), True
+        # inner product with the projection coefficients, summed by numpy's
+        # own loop as ``unit_norm`` is, not by a BLAS dot
+        return float(np.einsum("i,i->", cores[site].reshape(-1), coeffs.reshape(-1))), True
     cores[site] = coeffs / norm
     return norm, False
 

@@ -39,8 +39,10 @@ def unit_norm(amps: np.ndarray) -> float:
     """The 2-norm of a float64 vector, with the same bits at any BLAS thread count.
 
     numpy's own summation loop computes it. ``np.linalg.norm`` calls BLAS,
-    and OpenBLAS splits the sum across its threads, which changes its last
-    bits from n = 14 on.
+    and OpenBLAS splits the sum across its threads for vectors of more than
+    about 10,000 entries, which changes its last bits: a target from n = 14
+    on, or the projection coefficients of a wide core. It owns every
+    target's norm and the engine's projection norm.
     """
     return math.sqrt(np.einsum("i,i->", amps, amps))
 
