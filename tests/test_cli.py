@@ -399,22 +399,21 @@ class TestBlasThreadCount:
     """A run writes the same bytes at one BLAS thread and at two."""
 
     @staticmethod
-    def outputs(tmp_path, threads, spec, sites=16, bond_dim=8):
+    def outputs(tmp_path, threads, spec, sites, bond_dim):
         """``trajectory.csv`` and ``final_mps.json`` of a CLI subprocess at ``threads``."""
         out = tmp_path / f"threads{threads}"
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, **dict.fromkeys(THREAD_VARIABLES, str(threads)))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         subprocess.run([
-            sys.executable, "-m", "sphere_dmrg.cli", "--sites", str(sites),
-            "--bond-dim", str(bond_dim), "--seed", "0", "--max-sweeps", "3",
-            "--target", spec, "--out", str(out),
+            sys.executable, "-m", "sphere_dmrg.cli", "--sites", sites, "--bond-dim", bond_dim,
+            "--seed", "0", "--max-sweeps", "3", "--target", spec, "--out", str(out),
         ], env=env, check=True)
         return [(out / name).read_bytes() for name in ("trajectory.csv", "final_mps.json")]
 
-    @pytest.mark.parametrize("kind", ["named", "counts"])
+    @pytest.mark.parametrize("kind", ["named", "counts", "wide"])
     def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path, kind):
-        spec = "named:random:3"
+        spec, size = "named:random:3", ("16", "8")
         if kind == "counts":
             rng = np.random.default_rng(16)
             keys, counts = np.unique(rng.integers(0, 2**16, 50_000), return_counts=True)
@@ -423,13 +422,11 @@ class TestBlasThreadCount:
                 format(int(k), "016b"): int(c) for k, c in zip(keys, counts)
             }}))
             spec = f"counts:{path}"
-        assert self.outputs(tmp_path, 1, spec) == self.outputs(tmp_path, 2, spec)
-
-    def test_wide_bond_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
-        """At n = 14, bond dimension 80, the largest core has 10,240 entries,
-        past the length from which OpenBLAS splits a dot product across threads."""
-        runs = [self.outputs(tmp_path, t, "named:random:3", 14, 80) for t in (1, 2)]
-        assert runs[0] == runs[1]
+        elif kind == "wide":
+            # the largest core has 10,240 entries, past the length from which
+            # OpenBLAS splits a dot product across threads
+            size = ("14", "80")
+        assert self.outputs(tmp_path, 1, spec, *size) == self.outputs(tmp_path, 2, spec, *size)
 
 
 # target documents by file name; the valid ones fit --sites 3 --phys-dim 2
